@@ -55,6 +55,21 @@ func TestJobKeyStableAndSensitive(t *testing.T) {
 	}
 }
 
+// TestJobKeyGolden pins one 16-core job's content-addressed key. Keys name
+// the on-disk cache entries, so a change that moves this digest strands
+// every stored result and must come with a deliberate KeySchema bump.
+func TestJobKeyGolden(t *testing.T) {
+	names := []string{
+		"lbm", "STRM", "libq", "milc", "calc", "mcf", "art", "gcc",
+		"lbm", "STRM", "libq", "milc", "calc", "mcf", "art", "gcc",
+	}
+	j := testJob(42, names...)
+	const want = "37fed56f4fac76fad685074dcabf489481fabe68fa6aaebf45abc8663bb66af4"
+	if got := j.Key(); got != want {
+		t.Fatalf("Job.Key drifted:\n  got  %s\n  want %s", got, want)
+	}
+}
+
 func TestRunMemoizes(t *testing.T) {
 	s := New(2)
 	var executions atomic.Uint64

@@ -55,6 +55,17 @@ var goldenFingerprints = []struct {
 		"f25a8fa6cadc28b82fb6d9faad7f5930876c7c76836444c0ba8e6a7e57aff77f"},
 	{"mixB/cluster", []string{"art", "gcc", "STRM", "milc"}, "tadrrip", true,
 		"e93f60f1a03b864726738530fc0061bcc4d738fc2411eda35b8b9414e4b7616c"},
+	// Sixteen streaming apps: the only row that contends all eight DRAM
+	// banks, so it pins the order of DRAM reads, dirty-victim drains and
+	// write-throughs on a loaded substrate.
+	{"mix16stream/adapt", streaming16, "adapt", false,
+		"b404c152fc791f4d0cd150eec20c0fdbed7f27d642fe27e06e7375389f710179"},
+}
+
+// streaming16 is the all-streaming 16-core mix of the golden corpora.
+var streaming16 = []string{
+	"lbm", "STRM", "libq", "milc", "lbm", "STRM", "libq", "milc",
+	"lbm", "STRM", "libq", "milc", "lbm", "STRM", "libq", "milc",
 }
 
 // goldenConfig is the canonical tiny-fidelity machine of the corpus. Any

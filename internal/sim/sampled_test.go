@@ -43,6 +43,8 @@ var sampledGoldenFingerprints = []struct {
 		"4a319a5e9e9546e3279fcb79b9f442d8a5310ac26b00b9cc8ccc1e911509c707"},
 	{"mixB/cluster", []string{"art", "gcc", "STRM", "milc"}, "tadrrip", true,
 		"d78caba68ee59c8dce23374dfa33fb3b9599118838805fe72b1593679b450b4b"},
+	{"mix16stream/adapt", streaming16, "adapt", false,
+		"143834379586a7319a212fa4bb39eb32713a71ea7461974efe45cd00bbe1cd3f"},
 }
 
 func sampledCorpusConfig(tc struct {
