@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race test-race-sim lint vet fmt-check docs-check bench bench-smoke serve-smoke allocs-gate paperfig ci clean
+.PHONY: all build test test-race lint vet fmt-check docs-check bench bench-smoke serve-smoke allocs-gate paperfig ci clean
 
 all: build
 
@@ -15,16 +15,6 @@ test:
 
 test-race:
 	$(GO) test -short -race ./...
-
-# Full (not -short) race pass over the packages where real threads share a
-# simulation: the parallel engine (including the helper-drained substrate
-# gate and the per-bank DRAM shards), and the scheduler's weighted pool.
-# The second run re-executes the streaming-heavy gate tests a few times:
-# helper-draining only fires when cores actually park, so more schedules
-# mean more park/help/wake handoffs under the race detector.
-test-race-sim:
-	$(GO) test -race -count=1 ./internal/sim/... ./internal/schedule/...
-	$(GO) test -race -count=3 -run 'TestParallelHelperDrainStreaming|TestParallelInvariance' ./internal/sim
 
 vet:
 	$(GO) vet ./...
@@ -52,9 +42,8 @@ bench:
 # as the perf trajectory (BENCH_*.json), plus one-shot benchmarks
 # (-benchtime 1x: a smoke that the benches run, not a timing claim):
 # BENCH_policy_victim.txt for the policy layer, and BENCH_sim_substrate.txt
-# for the substrate — the Mix16 and streaming Mix16 parallel runs whose
-# Parallel{4,8}-vs-Parallel1 deltas track the helper-drained, per-bank-
-# sharded substrate across commits. BENCH_sampling.json carries the
+# for the simulator — the balanced Mix16 and the substrate-bound streaming
+# Mix16 serial runs. BENCH_sampling.json carries the
 # sampled-fidelity headline (speedup + ipc-err-pct vs the detailed
 # reference at paper-scale budgets) as custom benchmark metrics.
 bench-smoke: build

@@ -22,7 +22,6 @@
 //	-warmup N        instructions/app warmed up    (default 150000)
 //	-seed N          experiment seed               (default 42)
 //	-parallel N      concurrent simulations        (default GOMAXPROCS)
-//	-sim-threads N   threads inside each sim       (default 1; <0 = auto)
 //	-trace-batch N   per-core trace batch length   (default 0 = built-in)
 //
 // Sampled fidelity (SMARTS-style periodic sampling):
@@ -37,13 +36,10 @@
 // estimates from the detailed windows only, with confidence intervals in
 // the tables' sampling validation output), so sampled runs are cached
 // separately from detailed ones; but for a fixed sampling configuration
-// results remain bit-identical across -parallel, -sim-threads and
-// -trace-batch.
+// results remain bit-identical across -parallel and -trace-batch.
 //
-// -parallel and -sim-threads spend one shared worker budget (a job costs
-// its thread count), and neither changes any output bit: simulations are
-// deterministic and the intra-simulation engine is provably
-// order-preserving, so both knobs are pure wall-clock trades.
+// Each simulation is single-threaded; -parallel runs that many of them at
+// once and changes no output bit, since simulations are deterministic.
 // -trace-batch is likewise bit-identical for every value (batched trace
 // delivery emits the exact scalar op stream); it exists so the CI
 // determinism job can diff batch lengths, not for tuning.
@@ -115,7 +111,6 @@ func fidelityOptions(base experiments.Options, full, tiny bool, explicit map[str
 		preset = experiments.Tiny()
 	}
 	preset.Parallelism = base.Parallelism
-	preset.SimThreads = base.SimThreads
 	preset.TraceBatch = base.TraceBatch
 	preset.Sample = base.Sample
 	if explicit["cache-scale"] {
@@ -152,7 +147,6 @@ func main() {
 		warmup    = flag.Uint64("warmup", 150_000, "warm-up instructions per app")
 		seed      = flag.Uint64("seed", 42, "experiment seed")
 		par       = flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
-		simThr    = flag.Int("sim-threads", 1, "threads inside each simulation (1 = serial, <0 = auto); results are bit-identical for every value")
 		traceBat  = flag.Int("trace-batch", 0, "per-core trace-delivery batch length (0 = default); results are bit-identical for every value — a testing knob for the determinism CI legs")
 		sample    = flag.Bool("sample", false, "sampled fidelity: SMARTS-style detailed windows + deterministic functional warming")
 		sampleWin = flag.Int("sample-windows", 0, "detailed measurement windows per app (0 = default 20; implies -sample)")
@@ -190,7 +184,6 @@ func main() {
 		MeasureInstr: *measure,
 		Seed:         *seed,
 		Parallelism:  *par,
-		SimThreads:   *simThr,
 		TraceBatch:   *traceBat,
 		Sample:       sampleCfg,
 	}, *full, *tiny, explicit)

@@ -16,7 +16,6 @@ func baseOpt() experiments.Options {
 		MeasureInstr: 600_000,
 		Seed:         42,
 		Parallelism:  3,
-		SimThreads:   2,
 		TraceBatch:   1,
 	}
 }
@@ -47,7 +46,7 @@ func TestFidelityPresetsAndOverrides(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := experiments.Tiny()
-	want.Parallelism, want.SimThreads, want.TraceBatch = in.Parallelism, in.SimThreads, in.TraceBatch
+	want.Parallelism, want.TraceBatch = in.Parallelism, in.TraceBatch
 	want.Sample = in.Sample
 	if got != want {
 		t.Errorf("-tiny: got %+v, want %+v", got, want)

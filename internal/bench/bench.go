@@ -1,7 +1,8 @@
 // Package bench defines the 38 benchmark models of the paper's Table 4 —
 // SPEC CPU 2000/2006, PARSEC and STREAM applications characterised by their
 // Footprint-number and L2-MPKI — as parameterisations of the synthetic
-// generators in internal/trace (DESIGN.md §1.4 explains the substitution).
+// generators in internal/trace (its package comment explains the
+// substitution).
 //
 // Each Spec records the paper's measured Footprint-number (the Fpn(A)
 // column) and L2-MPKI, and derives generator parameters from them:

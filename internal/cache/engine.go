@@ -18,7 +18,6 @@ const MaxRRPV = 3
 // policies that embed it are defined) so that the cache's per-access fast
 // path can invoke Promote/VictimFor/Invalidate as concrete methods instead
 // of through the ReplacementPolicy interface — see HotProfile.
-// internal/policy aliases it back (policy.Engine) for its public API.
 //
 // The engine also tracks line validity (learned from OnFill/OnEvict
 // callbacks) so that invalid ways are consumed before any valid line is

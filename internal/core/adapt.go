@@ -26,8 +26,8 @@ type Config struct {
 	// semantics at any cache scale and for any mix of intensities: a
 	// shared interval under-samples light applications (their footprint
 	// reads near zero regardless of behaviour) exactly as the paper's §3.1
-	// "sizing of this interval is critical" discussion warns. See
-	// DESIGN.md §4 for the full argument.
+	// "sizing of this interval is critical" discussion warns.
+	// `paperfig -ablation interval` measures both schemes.
 	GlobalInterval bool
 	// MonitoredSets and ArrayEntries size the Sampler (40 and 16 if zero).
 	MonitoredSets int
@@ -67,7 +67,7 @@ func (c Config) withDefaults() Config {
 // Until the first interval completes, every application is treated as Low
 // priority, which makes ADAPT behave like SRRIP — the neutral default.
 type ADAPT struct {
-	policy.Engine
+	cache.Engine
 	cfg     Config
 	sampler *Sampler
 
@@ -88,7 +88,7 @@ func NewADAPT(cfg Config) *ADAPT {
 	cfg = cfg.withDefaults()
 	g := cfg.Geometry
 	a := &ADAPT{
-		Engine: policy.NewEngine(g),
+		Engine: cache.NewEngine(g),
 		cfg:    cfg,
 		sampler: NewSampler(SamplerConfig{
 			Sets:          g.Sets,

@@ -12,7 +12,9 @@
 //   - Stores retire through the write buffer and never stall the core
 //     directly (back-pressure appears as memory-system latency instead).
 //
-// See DESIGN.md §1.3 for the substitution argument versus BADCO.
+// The model stands in for BADCO because the policies under study only see
+// the LLC reference stream and its timing; miss overlap and stall behaviour
+// are what shape that stream, while pipeline detail does not reach it.
 package cpu
 
 import (
@@ -121,8 +123,7 @@ type Core struct {
 	// generator's NextBatch fast path when it has one. opNext indexes the
 	// next op to consume; the ring is exhausted when opNext reaches
 	// len(ops). Refills are per-core private work against a buffer
-	// allocated once in New, so the measured loop stays allocation-free
-	// and the parallel engine's ordering gate is untouched.
+	// allocated once in New, so the measured loop stays allocation-free.
 	ops    []trace.Op
 	opNext int
 	// genBatch is gen's BatchGenerator capability, captured once at
@@ -313,24 +314,6 @@ func (c *Core) RunBatch(limit uint64, yieldAtTie bool, maxSteps int, retireAt ui
 		}
 		steps++
 		if maxSteps > 0 && steps >= maxSteps {
-			return clock
-		}
-	}
-}
-
-// RunFree is the blocking-step sibling of RunBatch, for execution engines
-// whose memory system enforces ordering itself: it executes Steps until the
-// retired-instruction count reaches retireAt (which must be positive) and
-// calls published(clock) after every step so the engine can expose the
-// core's progress to its siblings. It never yields on a clock bound — when
-// a step must wait for other cores, the MemSystem implementation blocks the
-// calling goroutine mid-Access instead (internal/sim's conservative
-// parallel engine does exactly that at its substrate order gate).
-func (c *Core) RunFree(retireAt uint64, published func(clock uint64)) uint64 {
-	for {
-		clock := c.Step()
-		published(clock)
-		if c.retired >= retireAt {
 			return clock
 		}
 	}

@@ -30,24 +30,18 @@ type Options struct {
 	Seed uint64
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
-	// SimThreads is the intra-simulation thread count handed to every
-	// machine this harness builds (sim.Config.Threads): 0/1 = the serial
-	// loop, >1 = the conservative parallel engine, <0 = auto. Results are
-	// bit-identical across values; the scheduler budgets job width by it,
-	// so sim-level fan-out and per-sim threads share one worker pool.
-	SimThreads int
 	// AdaptInterval overrides ADAPT's monitoring interval in misses
 	// (0 = proportional default: 4x the LLC block count).
 	AdaptInterval uint64
 	// TraceBatch is the per-core trace-delivery batch length handed to
 	// every machine this harness builds (sim.Config.TraceBatch, 0 = the
 	// cpu.DefaultTraceBatch). Bit-identical across values and excluded
-	// from memoization keys, exactly like SimThreads; surfaced as
-	// `paperfig -trace-batch` for the CI determinism legs.
+	// from memoization keys; surfaced as `paperfig -trace-batch` for the
+	// CI determinism legs.
 	TraceBatch int
 	// Sample switches every machine this harness builds to sampled
 	// fidelity (sim.Config.Sample): alternating detailed windows and
-	// functionally-warmed gaps. Unlike SimThreads/TraceBatch this DOES
+	// functionally-warmed gaps. Unlike TraceBatch this DOES
 	// change results — it trades measurement coverage for speed — so it is
 	// part of the memoization key (via the Config fingerprint) and sampled
 	// runs never alias detailed cache entries. The zero value keeps the
@@ -123,7 +117,6 @@ func (o Options) baseConfig(cores int) sim.Config {
 	cfg := sim.Scale(sim.DefaultConfig(cores), o.Scale)
 	cfg.Seed = o.Seed
 	cfg.PolicyOpt.Seed = o.Seed
-	cfg.Threads = o.SimThreads
 	cfg.TraceBatch = o.TraceBatch
 	cfg.Sample = o.Sample
 	if o.AdaptInterval > 0 {

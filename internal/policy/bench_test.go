@@ -21,7 +21,7 @@ var benchGeom = cache.Geometry{Sets: 1024, Ways: 16, Cores: 16}
 // churn: every victim is immediately refilled at MaxRRPV-1, so the engine
 // ages sets regularly — the pattern that made the old retry/aging loop hot.
 func BenchmarkVictim(b *testing.B) {
-	e := NewEngine(benchGeom)
+	e := cache.NewEngine(benchGeom)
 	for set := 0; set < benchGeom.Sets; set++ {
 		for way := 0; way < benchGeom.Ways; way++ {
 			e.SetRRPV(set, way, uint8((set+way)%(MaxRRPV+1)))
@@ -40,7 +40,7 @@ func BenchmarkVictim(b *testing.B) {
 // MaxRRPV, so a distant-value victim is always available and aging is rare —
 // the fast path BRRIP/EAF/ADAPT bypass-mode traffic takes.
 func BenchmarkVictimDistant(b *testing.B) {
-	e := NewEngine(benchGeom)
+	e := cache.NewEngine(benchGeom)
 	for set := 0; set < benchGeom.Sets; set++ {
 		for way := 0; way < benchGeom.Ways; way++ {
 			e.SetRRPV(set, way, MaxRRPV)
@@ -99,7 +99,7 @@ func BenchmarkVictimAllWays(b *testing.B) {
 	for _, ways := range []int{16, 24, 32} {
 		b.Run(fmt.Sprintf("ways=%d", ways), func(b *testing.B) {
 			g := cache.Geometry{Sets: 256, Ways: ways, Cores: 16}
-			e := NewEngine(g)
+			e := cache.NewEngine(g)
 			for set := 0; set < g.Sets; set++ {
 				for way := 0; way < g.Ways; way++ {
 					e.SetRRPV(set, way, uint8((set+way)%(MaxRRPV+1)))

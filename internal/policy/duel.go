@@ -133,7 +133,7 @@ func (p *psel) preferBRRIP() bool { return p.value >= p.threshold }
 // DRRIP at the private L2s, where a single selector per cache is exactly the
 // original proposal.
 type DRRIP struct {
-	Engine
+	cache.Engine
 	duel *duelMap
 	sel  psel
 	eps  []EpsilonCounter
@@ -148,7 +148,7 @@ func NewDRRIP(g cache.Geometry, opt Options) *DRRIP {
 		eps[i] = NewEpsilonCounter(BRRIPEpsilonPeriod)
 	}
 	return &DRRIP{
-		Engine: NewEngine(g),
+		Engine: cache.NewEngine(g),
 		duel:   newDuelMap(g.Sets, 1, sd, opt.Seed),
 		sel:    newPSEL(PSELBits),
 		eps:    eps,

@@ -19,7 +19,7 @@ import "repro/internal/cache"
 // the filter to get full frequently", degrading EAF's tracking of
 // recency-friendly applications, emerges directly from this construction.
 type EAF struct {
-	Engine
+	cache.Engine
 	bits     []uint64 // Bloom filter bit array
 	mask     uint64   // bit-index mask (power-of-two sized filter)
 	capacity uint64   // evictions before the filter is cleared
@@ -43,7 +43,7 @@ func NewEAF(g cache.Geometry, opt Options) *EAF {
 	capacity := uint64(g.Blocks())
 	nbits := nextPow2(capacity * eafBitsPerAddress)
 	return &EAF{
-		Engine:   NewEngine(g),
+		Engine:   cache.NewEngine(g),
 		bits:     make([]uint64, nbits/64),
 		mask:     nbits - 1,
 		capacity: capacity,

@@ -2,18 +2,8 @@ package policy
 
 import "repro/internal/cache"
 
-// Engine is the shared mechanical core of every RRIP-family policy. It
-// moved to internal/cache so the cache's devirtualized fast path can call
-// Promote/VictimFor/Invalidate as concrete methods (see cache.HotProfile);
-// this alias keeps the policy package's public API — policies still embed
-// policy.Engine and internal/core still builds ADAPT on it.
-type Engine = cache.Engine
-
-// NewEngine builds an engine for the given cache geometry.
-func NewEngine(g cache.Geometry) Engine { return cache.NewEngine(g) }
-
 // NonDemandRRPV is the shared insertion rule for prefetch and write-back
-// fills (see the package comment and DESIGN.md §5).
+// fills (see prefetchRRPV and writebackRRPV for the reasoning).
 func NonDemandRRPV(a *cache.Access) uint8 {
 	if a.Writeback {
 		return writebackRRPV

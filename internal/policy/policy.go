@@ -50,7 +50,7 @@ const MaxRRPV = cache.MaxRRPV
 // Non-demand insertion values shared by every RRIP-family policy in this
 // repository: next-line prefetches land one step from distant (they are
 // usually consumed quickly if useful), write-backs land distant so that L2
-// victim traffic does not pollute the LLC. See DESIGN.md §5.
+// victim traffic does not pollute the LLC.
 const (
 	prefetchRRPV  = MaxRRPV - 1
 	writebackRRPV = MaxRRPV

@@ -96,7 +96,7 @@ func TestEpsilonCounterZeroPanics(t *testing.T) {
 }
 
 func TestRRIPEngineVictimPrefersInvalid(t *testing.T) {
-	e := NewEngine(geom(2, 4, 1))
+	e := cache.NewEngine(geom(2, 4, 1))
 	e.SetRRPV(0, 0, 3)
 	e.SetRRPV(0, 1, 3)
 	// Ways 2 and 3 never filled -> invalid, must be chosen first.
@@ -106,7 +106,7 @@ func TestRRIPEngineVictimPrefersInvalid(t *testing.T) {
 }
 
 func TestRRIPEngineAging(t *testing.T) {
-	e := NewEngine(geom(1, 4, 1))
+	e := cache.NewEngine(geom(1, 4, 1))
 	for w := 0; w < 4; w++ {
 		e.SetRRPV(0, w, 0)
 	}

@@ -8,12 +8,12 @@ import "repro/internal/cache"
 // MaxRRPV. SRRIP handles mixed and scan access patterns but thrashes on
 // working sets larger than the cache — the failure mode ADAPT targets.
 type SRRIP struct {
-	Engine
+	cache.Engine
 }
 
 // NewSRRIP builds an SRRIP policy.
 func NewSRRIP(g cache.Geometry) *SRRIP {
-	return &SRRIP{Engine: NewEngine(g)}
+	return &SRRIP{Engine: cache.NewEngine(g)}
 }
 
 // Name implements cache.ReplacementPolicy.
@@ -52,7 +52,7 @@ func (p *SRRIP) OnEvict(set, way int, ev cache.EvictedLine) { p.Invalidate(set, 
 // and is the policy of choice for thrashing applications. The bimodal
 // throttle is a per-core counter, as in hardware.
 type BRRIP struct {
-	Engine
+	cache.Engine
 	eps []EpsilonCounter
 }
 
@@ -62,7 +62,7 @@ func NewBRRIP(g cache.Geometry) *BRRIP {
 	for i := range eps {
 		eps[i] = NewEpsilonCounter(BRRIPEpsilonPeriod)
 	}
-	return &BRRIP{Engine: NewEngine(g), eps: eps}
+	return &BRRIP{Engine: cache.NewEngine(g), eps: eps}
 }
 
 // Name implements cache.ReplacementPolicy.

@@ -30,7 +30,7 @@ const (
 // rarely predicts distant reuse — reproducing that emergent failure is the
 // point of carrying the full training machinery here.
 type SHiP struct {
-	Engine
+	cache.Engine
 	// shct is the per-core counter table flattened into one dense slice,
 	// indexed core<<SignatureBits | signature: one allocation, one load on
 	// the per-fill path, no per-core pointer chase.
@@ -83,7 +83,7 @@ func NewSHiP(g cache.Geometry, opt Options) *SHiP {
 		trainIdx[s] = int32(i)
 	}
 	return &SHiP{
-		Engine:   NewEngine(g),
+		Engine:   cache.NewEngine(g),
 		shct:     shct,
 		trainIdx: trainIdx,
 		train:    make([]shipTrain, n*g.Ways),

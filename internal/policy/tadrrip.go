@@ -17,7 +17,7 @@ import "repro/internal/cache"
 //     inserted (Figure 6), which organically teaches the duel to prefer
 //     BRRIP for thrashing threads.
 type TADRRIP struct {
-	Engine
+	cache.Engine
 	duel    *duelMap
 	sels    []psel
 	eps     []EpsilonCounter
@@ -39,7 +39,7 @@ func NewTADRRIP(g cache.Geometry, opt Options) *TADRRIP {
 	forced := make([]bool, g.Cores)
 	copy(forced, opt.ForcedBRRIP)
 	return &TADRRIP{
-		Engine:  NewEngine(g),
+		Engine:  cache.NewEngine(g),
 		duel:    newDuelMap(g.Sets, g.Cores, sd, opt.Seed),
 		sels:    sels,
 		eps:     eps,

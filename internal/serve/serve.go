@@ -398,10 +398,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("scheduler_cancelled_total", sc.Cancelled, "waiters that abandoned a flight")
 	counter("scheduler_panics_total", sc.Panics, "jobs whose execution panicked")
 	gauge("scheduler_inflight_flights", int64(g.InflightFlights), "singleflight keys executing now")
-	gauge("scheduler_pool_cap", int64(g.PoolCap), "worker pool width budget")
-	gauge("scheduler_pool_busy", int64(g.PoolBusy), "worker pool width claimed")
+	gauge("scheduler_pool_cap", int64(g.PoolCap), "worker pool slots")
+	gauge("scheduler_pool_busy", int64(g.PoolBusy), "worker pool slots claimed")
 	gauge("scheduler_queue_depth", int64(g.QueueDepth), "jobs waiting for pool admission")
-	gauge("scheduler_queued_width", int64(g.QueuedWidth), "summed width waiting for admission")
 	gauge("scheduler_mem_entries", int64(g.MemEntries), "mem-tier cached results")
 	gauge("scheduler_mem_bytes", g.MemBytes, "mem-tier size estimate")
 	counter("http_requests_total", st.HTTP.Requests, "API requests received")

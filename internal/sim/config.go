@@ -3,11 +3,9 @@
 // VPC arbiter, and DDR2 memory — and runs multi-programmed workloads on it.
 //
 // The simulator is deterministic: given a Config and a set of generators,
-// two runs produce identical results — including under the conservative
-// parallel engine (System.SetParallel), which runs private core
-// hierarchies on real threads while replaying the serial global order for
-// the shared substrate, bit-identically for every thread count. Experiment
-// harnesses additionally parallelise across independent systems.
+// two runs produce identical results. One simulation runs on one goroutine,
+// in the serial (clock, core-index) event order; experiment harnesses use
+// more host cores by running independent systems concurrently.
 package sim
 
 import (
@@ -72,22 +70,10 @@ type Config struct {
 	// Seed feeds policy monitor sampling and anything else stochastic.
 	Seed uint64
 
-	// Threads is the intra-simulation thread count: how many core
-	// goroutines may run simulation work concurrently inside one System.
-	// 0 or 1 selects the serial reference event loop; values above 1 run
-	// the conservative parallel engine (see parallel.go); negative values
-	// pick an automatic count (min of cores and GOMAXPROCS). Results are
-	// bit-identical for every value — the parallel engine reproduces the
-	// serial (clock, core-index) total order exactly — which is why the
-	// field is excluded from Fingerprint: two runs differing only in
-	// Threads are the same simulation, and memoized results are shared
-	// across thread counts. System.SetParallel overrides it per system.
-	Threads int `fingerprint:"-"`
-
 	// TraceBatch is the per-core trace-delivery batch length (cpu.Config.
 	// TraceBatch): how many ops each core pre-draws from its generator per
-	// ring refill. Zero selects cpu.DefaultTraceBatch. Like Threads, it is
-	// a pure execution knob — generators are state machines independent of
+	// ring refill. Zero selects cpu.DefaultTraceBatch. It is a pure
+	// execution knob — generators are state machines independent of
 	// simulation time, so pre-drawing cannot change a single emitted op and
 	// every value yields bit-identical Results (TestTraceBatchInvariance) —
 	// which is why it is excluded from Fingerprint and memoized results are

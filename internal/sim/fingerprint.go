@@ -26,9 +26,9 @@ const FingerprintSchema = "sim-config/v1"
 // hooks must not mutate simulator state, so they cannot change a Result.
 // Callers that rely on hook side effects must not memoize by fingerprint —
 // internal/schedule routes those runs through its uncached path. Fields
-// tagged `fingerprint:"-"` (execution-engine knobs such as Threads) are
+// tagged `fingerprint:"-"` (execution knobs such as TraceBatch) are
 // likewise excluded: they are proven not to change a Result (see
-// TestParallelInvariance), so runs differing only in them share one
+// TestTraceBatchInvariance), so runs differing only in them share one
 // identity and one memoized result.
 func (c Config) Fingerprint() string {
 	h := sha256.New()

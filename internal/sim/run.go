@@ -78,9 +78,8 @@ func (r Result) IPCs() []float64 {
 // total and deterministic, which is what makes clock ties (frequent, since
 // cores start aligned) batch-invariant.
 //
-// Each entry packs both sort fields into one word, clock<<shift | index
-// (the same packing the parallel engine's order gate uses): one load and
-// one integer compare per heap comparison instead of two loads and up to
+// Each entry packs both sort fields into one word, clock<<shift | index:
+// one load and one integer compare per heap comparison instead of two loads and up to
 // two compares, on what profiles show is the serial loop's hottest
 // non-simulation code. shift is sized to the core count, so the clock keeps
 // at least 54 bits of headroom at any realistic scale. Keys are unique
@@ -167,14 +166,6 @@ func (h *frontier) runnerUp() int {
 	}
 }
 
-// SetParallel sets the intra-simulation thread count for subsequent Run
-// calls, overriding Config.Threads; it mirrors SetMaxBatch as the test
-// knob of the execution engine. n <= 1 selects the serial reference loop,
-// n > 1 runs the conservative parallel engine on up to n concurrent core
-// threads, and n < 0 selects the automatic count (see Config.Threads).
-// Any value yields bit-identical Results — see TestParallelInvariance.
-func (s *System) SetParallel(n int) { s.threads = n }
-
 // SetMaxBatch caps how many steps a core may execute per event-loop batch.
 // Zero (the default) is adaptive: a batch is bounded only by the inter-core
 // slack — the core runs exactly until it stops being the globally earliest
@@ -199,10 +190,6 @@ func (s *System) SetMaxBatch(n int) { s.maxBatch = n }
 // index). The executed step sequence — and therefore every Result bit — is
 // thus independent of batch size; see TestBatchInvariance.
 func (s *System) runUntilRetired(target uint64, freezeCycles, freezeInstr []uint64) {
-	if t := s.effectiveThreads(); t > 1 {
-		s.runParallel(t, target, freezeCycles, freezeInstr)
-		return
-	}
 	n := len(s.cores)
 	record := func(i int) {
 		if freezeCycles != nil {
@@ -289,7 +276,6 @@ func (s *System) Run(warmup, measure uint64) Result {
 	freezeCycles := make([]uint64, len(s.cores))
 	freezeInstr := make([]uint64, len(s.cores))
 	s.runUntilRetired(measure, freezeCycles, freezeInstr)
-	s.sub.drainAll()
 
 	res := Result{Apps: make([]AppResult, len(s.cores))}
 	llcStats := s.sub.llc.Stats()
@@ -321,15 +307,11 @@ func (s *System) Run(warmup, measure uint64) Result {
 	return res
 }
 
-// resetAtWarmBoundary drains deferred DRAM-phase ops and resets statistics
-// at the warm-up boundary; microarchitectural state (cache contents, policy
-// learning, bank timelines and open rows, in-flight misses) carries over.
-// The drain charges warm-up-initiated fire-and-forget drains to the warm-up
-// window, exactly as the pre-shard substrate executed them inline. Returns
-// the per-core clock snapshots taken after the reset (the measured window's
-// cycle origin).
+// resetAtWarmBoundary resets statistics at the warm-up boundary;
+// microarchitectural state (cache contents, policy learning, bank timelines
+// and open rows, in-flight misses) carries over. Returns the per-core clock
+// snapshots taken after the reset (the measured window's cycle origin).
 func (s *System) resetAtWarmBoundary() []uint64 {
-	s.sub.drainAll()
 	startCycles := make([]uint64, len(s.cores))
 	for i, c := range s.cores {
 		c.ResetStats()

@@ -73,11 +73,11 @@ func TestSampledGoldenFingerprints(t *testing.T) {
 	}
 }
 
-// TestSampledInvariance pins the tentpole's determinism claim: sampled
-// results are bit-identical across intra-simulation thread counts, trace-
-// delivery batch lengths and event-loop batch caps — the functional phases
-// are scheduled by retired-instruction counts alone, and the detailed
-// windows inherit the engine's existing invariances.
+// TestSampledInvariance pins the sampled mode's determinism claim: sampled
+// results are bit-identical across trace-delivery batch lengths and
+// event-loop batch caps — the functional phases are scheduled by
+// retired-instruction counts alone, and the detailed windows inherit the
+// engine's existing invariances.
 func TestSampledInvariance(t *testing.T) {
 	for _, tc := range sampledGoldenFingerprints {
 		tc := tc
@@ -86,18 +86,14 @@ func TestSampledInvariance(t *testing.T) {
 			ref := NewFromNames(sampledCorpusConfig(tc), tc.names).Run(20_000, 80_000).Fingerprint()
 			for _, leg := range []struct {
 				label      string
-				threads    int
 				traceBatch int
 				maxBatch   int
 			}{
-				{"threads4", 4, 0, 0},
-				{"threads2-batch1", 2, 1, 0},
-				{"tracebatch1", 1, 1, 0},
-				{"maxbatch7", 1, 0, 7},
-				{"threads4-tracebatch1-maxbatch3", 4, 1, 3},
+				{"tracebatch1", 1, 0},
+				{"maxbatch7", 0, 7},
+				{"tracebatch1-maxbatch3", 1, 3},
 			} {
 				cfg := sampledCorpusConfig(tc)
-				cfg.Threads = leg.threads
 				cfg.TraceBatch = leg.traceBatch
 				s := NewFromNames(cfg, tc.names)
 				s.SetMaxBatch(leg.maxBatch)

@@ -16,10 +16,9 @@ import (
 
 // System is one simulated machine running one multi-programmed workload.
 // It is split along the paper's sharing boundary: each core owns a corePath
-// (its private L1/L2 hierarchy), and all cores meet in one Substrate (the
-// arbiter, the banked LLC, DRAM and the shared pools). The split is what
-// lets the parallel engine in parallel.go run private hierarchies on real
-// threads while keeping the substrate single-threaded.
+// (its private L1/L2 hierarchy), and all cores meet in one sharedSubstrate
+// (the arbiter, the banked LLC, DRAM and the shared pools). A System runs
+// on one goroutine; experiment harnesses parallelise across Systems.
 type System struct {
 	cfg   Config
 	gens  []trace.Generator
@@ -31,10 +30,6 @@ type System struct {
 	// bounded). See SetMaxBatch.
 	maxBatch int
 
-	// threads is the intra-simulation thread count; <=1 = the serial
-	// reference loop. See SetParallel and Config.Threads.
-	threads int
-
 	// frontier and doneScratch are the serial event loop's reusable state
 	// (see runUntilRetired): hoisted here so that steady-state loop entries
 	// perform no allocation, the invariant the CI allocs gate enforces.
@@ -44,9 +39,8 @@ type System struct {
 
 // corePath is one core's private memory hierarchy: its L1 and L2 caches,
 // their MSHR and write-back pools, and the reusable scratch access records
-// that keep the policy interface calls allocation-free. Exactly one
-// goroutine drives a corePath at any time (the core that owns it), so it
-// needs no synchronisation; everything cross-core goes through sub.
+// that keep the policy interface calls allocation-free. Everything
+// cross-core goes through sub.
 type corePath struct {
 	cfg *Config
 	id  int
@@ -55,17 +49,7 @@ type corePath struct {
 	mshr   *cache.TimedPool // L2 MSHRs
 	wb     *cache.TimedPool // L2 write-back buffer
 
-	// sub is the substrate this core's misses drain into: the shared
-	// sharedSubstrate directly under the serial loop, or a per-core order
-	// gate during a parallel run (swapped by the engine before the
-	// goroutines start and restored after they join).
-	sub Substrate
-
-	// fsub is always the shared substrate itself, bypassing any parallel
-	// order gate: functional warming (see funcAccess) runs strictly on the
-	// serial goroutine between detailed phases, when no gate is installed
-	// and none is needed.
-	fsub *sharedSubstrate
+	sub *sharedSubstrate
 
 	scratchL1, scratchL2, scratchWB cache.Access
 }
@@ -95,11 +79,7 @@ func New(cfg Config, gens []trace.Generator) *System {
 		clusterMgr = cluster.New(cfg.Cluster, llcGeom, masker.SetWayMask)
 	}
 
-	s := &System{
-		cfg:     cfg,
-		gens:    gens,
-		threads: cfg.Threads,
-	}
+	s := &System{cfg: cfg, gens: gens}
 	s.sub = &sharedSubstrate{
 		cfg: &s.cfg,
 		llc: cache.New(cache.Config{
@@ -111,8 +91,9 @@ func New(cfg Config, gens []trace.Generator) *System {
 		dram:    mem.New(cfg.Mem),
 		arb:     arbiter.New(cfg.Arb),
 		cluster: clusterMgr,
+		mshr:    bankPools(cfg.LLCMSHRs, cfg.Mem.Banks),
+		wb:      bankPools(cfg.LLCWBEntries, cfg.Mem.Banks),
 	}
-	s.sub.shards = newShards(&s.cfg)
 
 	for i := 0; i < cfg.Cores; i++ {
 		l1Geom := cache.Geometry{Sets: cfg.L1Sets, Ways: cfg.L1Ways, Cores: 1}
@@ -139,7 +120,6 @@ func New(cfg Config, gens []trace.Generator) *System {
 			mshr: cache.NewTimedPool(cfg.L2MSHRs),
 			wb:   cache.NewTimedPool(cfg.L2WBEntries),
 			sub:  s.sub,
-			fsub: s.sub,
 		}
 		s.paths = append(s.paths, p)
 
@@ -211,10 +191,7 @@ func (p *corePath) Access(_ int, now uint64, addr uint64, write bool, pc uint64)
 }
 
 // access walks the private hierarchy and, on an L2 miss, crosses into the
-// substrate. Everything it touches before p.sub is per-core state: that is
-// the independence property the parallel engine relies on, so a change that
-// makes this function read or write shared state must also teach
-// parallel.go about the new ordering point.
+// substrate. Everything it touches before p.sub is per-core state.
 func (p *corePath) access(now uint64, block uint64, write bool, pc uint64, demand bool) uint64 {
 	// L1 lookup.
 	p.scratchL1 = cache.Access{Block: block, Core: 0, PC: pc, Write: write, Demand: demand}
@@ -268,7 +245,7 @@ func (p *corePath) FunctionalAccess(addr uint64, write bool, pc uint64) {
 }
 
 // funcAccess is access without time: same lookups, same order, no
-// reservations. Runs only on the serial goroutine (see corePath.fsub).
+// reservations.
 func (p *corePath) funcAccess(block uint64, write bool, pc uint64, demand bool) {
 	p.scratchL1 = cache.Access{Block: block, Core: 0, PC: pc, Write: write, Demand: demand}
 	r1 := p.l1.Access(&p.scratchL1)
@@ -286,13 +263,13 @@ func (p *corePath) funcAccess(block uint64, write bool, pc uint64, demand bool) 
 	p.scratchL2 = cache.Access{Block: block, Core: 0, PC: pc, Write: write, Demand: demand}
 	r2 := p.l2.Access(&p.scratchL2)
 	if r2.EvictedValid && r2.Evicted.Dirty {
-		p.fsub.writebackFunc(p.id, r2.Evicted.Block)
+		p.sub.writebackFunc(p.id, r2.Evicted.Block)
 	}
 	if r2.Hit {
 		return
 	}
 
-	p.fsub.fetchFunc(p.id, block, pc, write, demand)
+	p.sub.fetchFunc(p.id, block, pc, write, demand)
 }
 
 // funcWritebackToL2 is writebackToL2 without time.
@@ -300,7 +277,7 @@ func (p *corePath) funcWritebackToL2(block uint64) {
 	p.scratchWB = cache.Access{Block: block, Core: 0, Write: true, Demand: false, Writeback: true}
 	r := p.l2.Access(&p.scratchWB)
 	if r.EvictedValid && r.Evicted.Dirty {
-		p.fsub.writebackFunc(p.id, r.Evicted.Block)
+		p.sub.writebackFunc(p.id, r.Evicted.Block)
 	}
 }
 

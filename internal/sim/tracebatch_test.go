@@ -8,31 +8,27 @@ import (
 // TestTraceBatchInvariance pins the contract that lets Config.TraceBatch
 // stay out of the fingerprint: the trace-delivery batch length is a pure
 // execution knob. The same mix run at batch lengths 1 (scalar-equivalent:
-// one op drawn per refill), small, default and huge — crossed with the
-// serial loop and the conservative parallel engine — must produce
+// one op drawn per refill), small, default and huge must produce
 // bit-identical Results.
 func TestTraceBatchInvariance(t *testing.T) {
 	mix := []string{"calc", "mcf", "libq", "lbm"}
 	baseline := ""
-	for _, threads := range []int{1, 4} {
-		for _, batch := range []int{1, 2, 64, 1024} {
-			threads, batch := threads, batch
-			t.Run(fmt.Sprintf("threads=%d/batch=%d", threads, batch), func(t *testing.T) {
-				cfg := quickConfig(len(mix))
-				cfg.Threads = threads
-				cfg.TraceBatch = batch
-				got := NewFromNames(cfg, mix).Run(10_000, 40_000).Fingerprint()
-				if baseline == "" {
-					baseline = got
-					return
-				}
-				if got != baseline {
-					t.Fatalf("TraceBatch=%d Threads=%d changed the result:\n  got  %s\n  want %s\n"+
-						"Batch length must be invisible in every Result bit — this is a trace-"+
-						"delivery bug, not a golden to re-pin.", batch, threads, got, baseline)
-				}
-			})
-		}
+	for _, batch := range []int{1, 2, 64, 1024} {
+		batch := batch
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			cfg := quickConfig(len(mix))
+			cfg.TraceBatch = batch
+			got := NewFromNames(cfg, mix).Run(10_000, 40_000).Fingerprint()
+			if baseline == "" {
+				baseline = got
+				return
+			}
+			if got != baseline {
+				t.Fatalf("TraceBatch=%d changed the result:\n  got  %s\n  want %s\n"+
+					"Batch length must be invisible in every Result bit — this is a trace-"+
+					"delivery bug, not a golden to re-pin.", batch, got, baseline)
+			}
+		})
 	}
 }
 
@@ -45,19 +41,16 @@ func TestTraceBatchBurstInvariance(t *testing.T) {
 	}
 	mix := []string{"libq+burst", "lbm+burst", "mcf+burst", "STRM+burst"}
 	baseline := ""
-	for _, threads := range []int{1, 4} {
-		for _, batch := range []int{1, 64} {
-			cfg := quickConfig(len(mix))
-			cfg.Threads = threads
-			cfg.TraceBatch = batch
-			got := NewFromNames(cfg, mix).Run(10_000, 40_000).Fingerprint()
-			if baseline == "" {
-				baseline = got
-				continue
-			}
-			if got != baseline {
-				t.Fatalf("burst mix: TraceBatch=%d Threads=%d changed the result", batch, threads)
-			}
+	for _, batch := range []int{1, 64} {
+		cfg := quickConfig(len(mix))
+		cfg.TraceBatch = batch
+		got := NewFromNames(cfg, mix).Run(10_000, 40_000).Fingerprint()
+		if baseline == "" {
+			baseline = got
+			continue
+		}
+		if got != baseline {
+			t.Fatalf("burst mix: TraceBatch=%d changed the result", batch)
 		}
 	}
 }
