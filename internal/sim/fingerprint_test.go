@@ -47,9 +47,9 @@ func TestFingerprintSensitivity(t *testing.T) {
 
 // TestConfigFingerprintGolden pins the digest of the Table 3 16-core
 // machine. Config fingerprints key every memoized result (schedule.Job.Key
-// and the .simcache segments), so removing an identity-excluded field or
-// reordering execution knobs must leave this digest — and with it every
-// stored result — valid.
+// and the .simcache segments), so adding or removing an execution-only
+// field (tagged `fingerprint:"-"`) must leave this digest — and with it
+// every stored result — valid.
 func TestConfigFingerprintGolden(t *testing.T) {
 	const want = "028ad1b752f28c09194d13590907e41876d3787a9fd945afcf8d8c7421248c13"
 	if got := DefaultConfig(16).Fingerprint(); got != want {

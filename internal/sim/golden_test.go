@@ -5,7 +5,7 @@ import "testing"
 // Golden-fingerprint corpus: sim.Result.Fingerprint locked for a small
 // canonical grid of (mix, policy) runs at tiny fidelity. The simulator is a
 // pure function of its Config and workload, so these digests are stable
-// across concurrent tests, batch caps, scheduler interleaving and host — any
+// across parallelism, batch caps, scheduler interleaving and host — any
 // change here means the simulation semantics changed.
 //
 // If a change is INTENTIONAL (a timing-model fix, a policy behaviour

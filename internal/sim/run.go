@@ -79,9 +79,9 @@ func (r Result) IPCs() []float64 {
 // cores start aligned) batch-invariant.
 //
 // Each entry packs both sort fields into one word, clock<<shift | index:
-// one load and one integer compare per heap comparison instead of two loads and up to
-// two compares, on what profiles show is the serial loop's hottest
-// non-simulation code. shift is sized to the core count, so the clock keeps
+// one load and one integer compare per heap comparison instead of two
+// loads and up to two compares, on what profiles show is the serial loop's
+// hottest non-simulation code. shift is sized to the core count, so the clock keeps
 // at least 54 bits of headroom at any realistic scale. Keys are unique
 // (the index bits differ), so strict < is a total order identical to the
 // (clock, idx) pair order.

@@ -198,8 +198,8 @@ func (r *sampleRates) observe(i int, di, dc uint64) {
 
 // runFunctionalUntil retires instructions on every core up to target
 // (cumulative per-core retired count) in functional-warming mode: a
-// virtual-time round-robin. Each pass advances a
-// shared virtual clock by quantum cycles and runs core i for
+// virtual-time round-robin. Each pass advances a shared virtual clock by
+// quantum cycles and runs core i for
 // rates.instr[i]·quantum/rates.cycles[i] instructions (with remainder
 // carry), so cores interleave in the shared LLC in proportion to their
 // measured retirement rates — the same mix detailed timing would produce —

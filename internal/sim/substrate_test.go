@@ -6,11 +6,6 @@ import (
 	"repro/internal/arbiter"
 )
 
-// streamingMix is a substrate-saturating 8-core workload: streams and
-// cyclic thrashers whose L2 miss density keeps the arbiter banks and DRAM
-// under constant pressure.
-var streamingMix = []string{"lbm", "STRM", "libq", "milc", "lbm", "STRM", "libq", "milc"}
-
 // TestSubstrateContentionMetricsDeterministic is the determinism
 // acceptance test of the contention metrics: the arbiter-wait histogram
 // and the per-bank row-hit counters must be bit-identical across batch
@@ -51,7 +46,7 @@ func TestSubstrateContentionMetricsDeterministic(t *testing.T) {
 // scalar mean says there was queueing.
 func TestWaitHistogramPopulated(t *testing.T) {
 	cfg := quickConfig(8)
-	res := NewFromNames(cfg, streamingMix).Run(5_000, 40_000)
+	res := NewFromNames(cfg, streaming16[:8]).Run(5_000, 40_000)
 	var tailMass uint64
 	for i, app := range res.Apps {
 		total := app.ArbiterWaitHist.Total()
