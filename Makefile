@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race lint vet fmt-check docs-check bench bench-smoke serve-smoke allocs-gate paperfig ci clean
+.PHONY: all build test test-race lint vet fmt-check docs-check perf-check bench bench-smoke serve-smoke allocs-gate paperfig ci clean
 
 all: build
 
@@ -32,6 +32,12 @@ lint: vet fmt-check
 # and friends must not rot).
 docs-check:
 	sh scripts/docs_check.sh
+
+# The perf/ benchmark is a nested module (its own go.mod), so the root
+# `go test ./...` never builds it; vet and test it here so an API change
+# in the packages it imports cannot break the benchmark unseen.
+perf-check:
+	cd perf && $(GO) vet ./... && $(GO) test ./...
 
 # Full benchmark sweep at Tiny fidelity (prints every regenerated table).
 bench:
@@ -63,7 +69,6 @@ bench-smoke: build
 	$(GO) test -bench 'SamplingFidelity$$' -benchtime 1x -run '^$$' ./internal/sim > BENCH_sampling.txt || { cat BENCH_sampling.txt; exit 1; }
 	cat BENCH_sampling.txt
 	$(GO) run ./cmd/benchjson < BENCH_sampling.txt > BENCH_sampling.json
-	$(GO) test -race -run 'TestServeLoad' -count=1 -v ./internal/serve
 
 # End-to-end smoke of the serving layer: paperfigd up, `paperfig -server`
 # output byte-identical to a local run, SIGTERM drains in-flight work.
@@ -83,7 +88,7 @@ allocs-gate:
 paperfig:
 	$(GO) run ./cmd/paperfig -all -stats -cache-dir .simcache -json paperfig.json
 
-ci: build lint docs-check test test-race
+ci: build lint docs-check test test-race perf-check
 
 clean:
 	rm -rf .simcache BENCH_*.json BENCH_*.txt paperfig.json

@@ -255,10 +255,10 @@ func main() {
 	}
 
 	start := time.Now()
-	art := schedule.Artifact{Name: "paperfig", GeneratedAt: start.UTC(), Options: opt}
+	art := experiments.Artifact{Name: "paperfig", GeneratedAt: start.UTC(), Options: opt}
 	emit := func(t experiments.Table) {
 		t.Fprint(os.Stdout)
-		art.Add(t.Data())
+		art.Add(t)
 	}
 
 	if *server != "" {
@@ -267,8 +267,8 @@ func main() {
 		// byte-identical to a local run of the same requests.
 		client := &serve.Client{BaseURL: *server}
 		for _, r := range reqs {
-			sum, err := client.StreamTables(context.Background(), r, func(td schedule.TableData) error {
-				emit(experiments.Table{Title: td.Title, Note: td.Note, Header: td.Header, Rows: td.Rows})
+			sum, err := client.StreamTables(context.Background(), r, func(t experiments.Table) error {
+				emit(t)
 				return nil
 			})
 			if err != nil {

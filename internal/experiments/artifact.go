@@ -1,4 +1,4 @@
-package schedule
+package experiments
 
 import (
 	"encoding/csv"
@@ -8,32 +8,24 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
-)
 
-// TableData is the machine-readable form of one rendered figure or table —
-// the same title/header/rows an experiments.Table prints, without the
-// text/tabwriter formatting.
-type TableData struct {
-	Title  string     `json:"title"`
-	Note   string     `json:"note,omitempty"`
-	Header []string   `json:"header,omitempty"`
-	Rows   [][]string `json:"rows"`
-}
+	"repro/internal/schedule"
+)
 
 // Artifact is one experiment run's structured output: every table produced,
 // the options that produced them, and the scheduler traffic behind them.
 // CI uploads these as BENCH_*.json files to build a perf trajectory.
 type Artifact struct {
-	Name        string      `json:"name"`
-	GeneratedAt time.Time   `json:"generated_at"`
-	Elapsed     string      `json:"elapsed,omitempty"`
-	Options     interface{} `json:"options,omitempty"`
-	Tables      []TableData `json:"tables"`
-	Scheduler   Stats       `json:"scheduler"`
+	Name        string         `json:"name"`
+	GeneratedAt time.Time      `json:"generated_at"`
+	Elapsed     string         `json:"elapsed,omitempty"`
+	Options     interface{}    `json:"options,omitempty"`
+	Tables      []Table        `json:"tables"`
+	Scheduler   schedule.Stats `json:"scheduler"`
 }
 
 // Add appends tables to the artifact.
-func (a *Artifact) Add(tables ...TableData) {
+func (a *Artifact) Add(tables ...Table) {
 	a.Tables = append(a.Tables, tables...)
 }
 
@@ -84,7 +76,7 @@ func (a Artifact) WriteCSV(dir string) error {
 	return nil
 }
 
-func writeCSVTable(path string, t TableData) error {
+func writeCSVTable(path string, t Table) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

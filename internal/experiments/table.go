@@ -5,17 +5,17 @@ import (
 	"io"
 	"strings"
 	"text/tabwriter"
-
-	"repro/internal/schedule"
 )
 
 // Table is a printable experiment output: the rows/series a paper table or
-// figure reports.
+// figure reports. Its JSON form is the table's wire and artifact format
+// (paperfigd frames, paperfig -json); Artifact.WriteCSV writes one CSV
+// file per table.
 type Table struct {
-	Title  string
-	Note   string
-	Header []string
-	Rows   [][]string
+	Title  string     `json:"title"`
+	Note   string     `json:"note,omitempty"`
+	Header []string   `json:"header,omitempty"`
+	Rows   [][]string `json:"rows"`
 }
 
 // Fprint renders the table as aligned text.
@@ -40,12 +40,6 @@ func (t Table) String() string {
 	var b strings.Builder
 	t.Fprint(&b)
 	return b.String()
-}
-
-// Data converts the table to its machine-readable artifact form, which the
-// schedule package serializes as JSON or CSV.
-func (t Table) Data() schedule.TableData {
-	return schedule.TableData{Title: t.Title, Note: t.Note, Header: t.Header, Rows: t.Rows}
 }
 
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

@@ -47,7 +47,7 @@ type diskCache struct {
 
 	mu      sync.Mutex
 	index   map[string]sim.Result
-	corrupt uint64 // unusable lines seen while loading (reported once)
+	corrupt uint64 // unusable lines seen while loading; fixed once opened
 }
 
 // schemaSlug makes KeySchema filesystem-safe.
@@ -119,13 +119,6 @@ func (d *diskCache) load() error {
 		f.Close()
 	}
 	return nil
-}
-
-// loadErrors reports how many unusable lines the open-time scan skipped.
-func (d *diskCache) loadErrors() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.corrupt
 }
 
 // read returns (result, true) when the key was present in any segment at

@@ -14,18 +14,15 @@
 //     warm-up/measure budgets. Keys are valid across processes.
 //   - Singleflight execution: concurrent callers requesting the same key
 //     share one execution; latecomers block on the leader's result.
-//   - A two-tier result store: a byte-budgeted in-memory LRU for
-//     intra-process reuse and an optional on-disk JSON cache (SetCacheDir,
-//     conventionally .simcache/) versioned by the key schema, so
-//     cmd/paperfig re-runs are incremental across invocations.
+//   - A two-tier result store: an in-memory map for intra-process reuse
+//     and an optional on-disk JSON cache (SetCacheDir, conventionally
+//     .simcache/) versioned by the key schema, so cmd/paperfig re-runs are
+//     incremental across invocations.
 //
-// The scheduler is serving-grade: internal/serve runs it inside the
-// long-lived paperfigd server, so flights execute on their own goroutine
-// and always settle — a panicking job becomes an error result (never a
-// wedged key or a leaked pool slot), and any caller, including the one
-// that created the flight, can abandon the wait through RunContext's
-// context without killing the execution. Abandoned flights run to
-// completion and populate the store for the next requester.
+// Flights always settle: a panicking job becomes a *PanicError that every
+// caller on the key re-panics with, never a wedged key or a leaked pool
+// slot, so internal/serve can contain one bad request inside the
+// long-lived paperfigd server.
 //
 // Runs whose value lives outside the sim.Result — e.g. Table 4's
 // footprint-sampler hooks — use RunUncached, which still shares the pool
@@ -33,8 +30,6 @@
 package schedule
 
 import (
-	"container/list"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -42,8 +37,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"time"
-	"unsafe"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -79,12 +72,6 @@ import (
 // commit (field names participate in the result digest), so v4 disk-cache
 // segments must strand.
 const KeySchema = "job/v5+" + sim.FingerprintSchema
-
-// DefaultMemBudget is the default byte budget of the in-memory result
-// tier. Results are small (a few hundred bytes per app), so this admits
-// hundreds of thousands of entries before evicting — far beyond any CLI
-// run — while bounding a long-lived server's growth.
-const DefaultMemBudget int64 = 256 << 20
 
 // Job is one simulation request: a fully-configured machine (any
 // PolicySpec.Configure mutation already applied), a workload, and the
@@ -123,7 +110,7 @@ func (j Job) run() sim.Result {
 // Stats counts scheduler traffic. Hits()>0 across two harnesses proves the
 // grids overlap and the dedup machinery is earning its keep.
 type Stats struct {
-	// Submitted counts every Run/RunContext/RunUncached call.
+	// Submitted counts every Run/RunUncached call.
 	Submitted uint64 `json:"submitted"`
 	// Executed counts jobs that actually simulated (cacheable path).
 	Executed uint64 `json:"executed"`
@@ -137,11 +124,6 @@ type Stats struct {
 	// DiskErrors counts disk-tier reads/writes that failed and were
 	// treated as misses (the cache is best-effort).
 	DiskErrors uint64 `json:"disk_errors"`
-	// Evictions counts in-memory results dropped by the LRU byte budget.
-	Evictions uint64 `json:"evictions"`
-	// Cancelled counts RunContext callers that abandoned a flight (or the
-	// queue) because their context ended before the result settled.
-	Cancelled uint64 `json:"cancelled"`
 	// Panics counts jobs whose execution panicked; each settles its flight
 	// with a *PanicError instead of wedging latecomers on the key.
 	Panics uint64 `json:"panics"`
@@ -156,12 +138,6 @@ func (s Stats) String() string {
 		s.Submitted, s.Executed, s.Uncached, s.MemHits, s.DiskHits, s.Shared)
 	if s.DiskErrors > 0 {
 		out += fmt.Sprintf(" disk-errors=%d", s.DiskErrors)
-	}
-	if s.Evictions > 0 {
-		out += fmt.Sprintf(" evictions=%d", s.Evictions)
-	}
-	if s.Cancelled > 0 {
-		out += fmt.Sprintf(" cancelled=%d", s.Cancelled)
 	}
 	if s.Panics > 0 {
 		out += fmt.Sprintf(" panics=%d", s.Panics)
@@ -181,17 +157,14 @@ type Gauges struct {
 	PoolBusy int `json:"pool_busy"`
 	// QueueDepth counts jobs waiting for pool admission.
 	QueueDepth int `json:"queue_depth"`
-	// MemEntries / MemBytes / MemBudget describe the in-memory LRU tier.
-	MemEntries int   `json:"mem_entries"`
-	MemBytes   int64 `json:"mem_bytes"`
-	MemBudget  int64 `json:"mem_budget"`
+	// MemEntries counts results in the in-memory tier.
+	MemEntries int `json:"mem_entries"`
 }
 
 // PanicError is the error a panicking job settles its flight with. Every
-// waiter on the key — and any later RunContext caller racing the
-// settlement — receives it instead of deadlocking on a flight that will
-// never close; Run re-panics it to preserve the CLI's crash-on-bug
-// behaviour.
+// caller waiting on the key receives it instead of deadlocking on a flight
+// that will never close; Run re-panics it to preserve the CLI's
+// crash-on-bug behaviour.
 type PanicError struct {
 	// Key is the job's content-addressed identity.
 	Key string
@@ -210,9 +183,9 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("schedule: job %s panicked: %v", k, e.Value)
 }
 
-// flight is one in-progress execution that waiters block on. done is
-// closed exactly once, after res/err are final; an err != nil flight is
-// never stored in either cache tier.
+// flight is one in-progress execution of a key that concurrent callers
+// share. done is closed exactly once, after res/err are final; an
+// err != nil flight is never stored in either cache tier.
 type flight struct {
 	done chan struct{}
 	res  sim.Result
@@ -221,8 +194,7 @@ type flight struct {
 
 // slotPool is the scheduler's worker budget: cap unit slots, one per
 // executing job. Admission is strict FIFO, so a job at the head of the
-// queue is never overtaken by latecomers (the serving workload makes that
-// a real possibility, not a theoretical one).
+// queue is never overtaken by latecomers.
 type slotPool struct {
 	mu      sync.Mutex
 	cap     int
@@ -278,48 +250,30 @@ func (p *slotPool) gauges() (capacity, busy, queued int) {
 	return p.cap, p.busy, len(p.waiters)
 }
 
-// memEntry is one in-memory cached result plus its LRU accounting.
-type memEntry struct {
-	key   string
-	res   sim.Result
-	bytes int64
-}
-
 // Scheduler is a bounded, memoizing simulation executor. The zero value is
 // not usable; use New or Shared.
 type Scheduler struct {
 	pool *slotPool // worker budget; see slotPool
 
 	mu       sync.Mutex
-	runFn    func(Job) sim.Result // execution seam; see SetRunFn
-	memIndex map[string]*list.Element
-	memLRU   *list.List // front = most recently used; values are *memEntry
-	memBytes int64
-	memMax   int64 // <= 0 means unlimited
+	runFn    func(Job) sim.Result  // execution seam; see SetRunFn
+	mem      map[string]sim.Result // in-memory tier, never evicted
 	inflight map[string]*flight
 	disk     *diskCache
-	// diskCounted remembers how many load errors per cache root have been
-	// folded into Stats.DiskErrors, so re-opening the same directory (the
-	// server does this after every store-maintenance pass) adds only new
-	// corruption instead of double-counting the old.
-	diskCounted map[string]uint64
-	stats       Stats
+	stats    Stats
 }
 
 // New builds a scheduler with the given worker-pool size (<=0 means
-// GOMAXPROCS) and the default in-memory byte budget.
+// GOMAXPROCS).
 func New(workers int) *Scheduler {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Scheduler{
-		pool:        &slotPool{cap: workers},
-		runFn:       Job.run,
-		memIndex:    map[string]*list.Element{},
-		memLRU:      list.New(),
-		memMax:      DefaultMemBudget,
-		inflight:    map[string]*flight{},
-		diskCounted: map[string]uint64{},
+		pool:     &slotPool{cap: workers},
+		runFn:    Job.run,
+		mem:      map[string]sim.Result{},
+		inflight: map[string]*flight{},
 	}
 }
 
@@ -341,9 +295,7 @@ func Shared() *Scheduler {
 // result tier. Entries live in append-only segment files under
 // dir/<key-schema-slug>/<segment>.seg, so a schema bump naturally strands
 // old entries rather than misreading them. Opening the cache scans every
-// segment into memory; unusable lines are counted as DiskErrors once per
-// root — re-opening the same directory (e.g. after MaintainStore) only
-// adds corruption that appeared since.
+// segment into memory and counts unusable lines as DiskErrors.
 func (s *Scheduler) SetCacheDir(dir string) error {
 	var d *diskCache
 	if dir != "" {
@@ -355,24 +307,10 @@ func (s *Scheduler) SetCacheDir(dir string) error {
 	s.mu.Lock()
 	s.disk = d
 	if d != nil {
-		load := d.loadErrors()
-		if prev := s.diskCounted[dir]; load > prev {
-			s.stats.DiskErrors += load - prev
-			s.diskCounted[dir] = load
-		}
+		s.stats.DiskErrors += d.corrupt
 	}
 	s.mu.Unlock()
 	return nil
-}
-
-// SetMemBudget caps the in-memory result tier at max bytes (<=0 removes
-// the cap). Least-recently-used entries are evicted once the tier
-// overflows; evicted keys fall back to the disk tier or re-execute.
-func (s *Scheduler) SetMemBudget(max int64) {
-	s.mu.Lock()
-	s.memMax = max
-	s.evictLocked()
-	s.mu.Unlock()
 }
 
 // SetPoolSize changes the worker-pool size at runtime (<=0 means
@@ -386,9 +324,8 @@ func (s *Scheduler) SetPoolSize(workers int) {
 }
 
 // SetRunFn replaces the function that executes one job. It is a seam for
-// tests and load harnesses (internal/serve's load test injects a stub so
-// thousands of requests need no real simulations); production code leaves
-// the default in place.
+// tests and benchmarks (a stub needs no real simulations, a wrapper can
+// time them); production code leaves the default in place.
 func (s *Scheduler) SetRunFn(fn func(Job) sim.Result) {
 	s.mu.Lock()
 	s.runFn = fn
@@ -412,32 +349,7 @@ func (s *Scheduler) Gauges() Gauges {
 		PoolCap:         capacity,
 		PoolBusy:        busy,
 		QueueDepth:      queued,
-		MemEntries:      s.memLRU.Len(),
-		MemBytes:        s.memBytes,
-		MemBudget:       s.memMax,
-	}
-}
-
-// WaitIdle blocks until no flight is in progress and the pool is fully
-// drained, or the context ends. paperfigd calls it after the HTTP server
-// has drained so abandoned flights (whose requesters disconnected) finish
-// and persist before the process exits.
-func (s *Scheduler) WaitIdle(ctx context.Context) error {
-	tick := time.NewTicker(2 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		s.mu.Lock()
-		flights := len(s.inflight)
-		s.mu.Unlock()
-		_, busy, queued := s.pool.gauges()
-		if flights == 0 && busy == 0 && queued == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tick.C:
-		}
+		MemEntries:      len(s.mem),
 	}
 }
 
@@ -447,29 +359,14 @@ func (s *Scheduler) WaitIdle(ctx context.Context) error {
 // execution panicked, Run re-panics with the *PanicError — the flight is
 // settled first, so no other caller is wedged by the crash.
 func (s *Scheduler) Run(j Job) sim.Result {
-	res, err := s.RunContext(context.Background(), j)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunContext is Run with serving semantics: the caller may abandon the
-// wait through ctx without affecting the execution. The first caller for a
-// key starts a flight on its own goroutine; the flight always runs to
-// completion (and populates the store) even if every waiter leaves, so a
-// disconnecting client never kills work another client is about to ask
-// for. Errors are either the caller's ctx error or the flight's
-// *PanicError.
-func (s *Scheduler) RunContext(ctx context.Context, j Job) (sim.Result, error) {
 	key := j.Key()
 
 	s.mu.Lock()
 	s.stats.Submitted++
-	if r, ok := s.memGetLocked(key); ok {
+	if r, ok := s.mem[key]; ok {
 		s.stats.MemHits++
 		s.mu.Unlock()
-		return cloneResult(r), nil
+		return cloneResult(r)
 	}
 	f, joined := s.inflight[key]
 	if joined {
@@ -481,22 +378,19 @@ func (s *Scheduler) RunContext(ctx context.Context, j Job) (sim.Result, error) {
 	}
 	s.mu.Unlock()
 
-	select {
-	case <-f.done:
-		if f.err != nil {
-			return sim.Result{}, f.err
-		}
-		return cloneResult(f.res), nil
-	case <-ctx.Done():
-		s.count(func(st *Stats) { st.Cancelled++ })
-		return sim.Result{}, ctx.Err()
+	<-f.done
+	if f.err != nil {
+		panic(f.err)
 	}
+	return cloneResult(f.res)
 }
 
-// lead resolves one flight on its own goroutine: disk probe, pool-bounded
-// execution, disk write-back, settlement. The deferred settle is the
-// panic-safety contract — no matter what the job does, waiters are woken
-// and the key is released, with a panic converted into the flight's error.
+// lead resolves one flight: disk probe, pool-bounded execution, disk
+// write-back, settlement. The deferred settle is the panic-safety
+// contract — no matter what the job does, waiters are woken and the key
+// is released, with a panic converted into the flight's error. Run starts
+// it on a fresh goroutine rather than the caller's: the inline variant
+// measured slower per-job setup in the perf benchmark (perf/).
 func (s *Scheduler) lead(key string, j Job, f *flight, disk *diskCache) {
 	var (
 		res  sim.Result
@@ -570,7 +464,7 @@ func (s *Scheduler) RunUncached(j Job) sim.Result {
 func (s *Scheduler) settle(key string, f *flight, r sim.Result, err error, bump func(*Stats)) {
 	s.mu.Lock()
 	if err == nil {
-		s.memPutLocked(key, r)
+		s.mem[key] = r
 	}
 	delete(s.inflight, key)
 	if bump != nil {
@@ -582,67 +476,10 @@ func (s *Scheduler) settle(key string, f *flight, r sim.Result, err error, bump 
 	close(f.done)
 }
 
-// memGetLocked looks the key up in the LRU tier and marks it recently
-// used. Called with s.mu held.
-func (s *Scheduler) memGetLocked(key string) (sim.Result, bool) {
-	el, ok := s.memIndex[key]
-	if !ok {
-		return sim.Result{}, false
-	}
-	s.memLRU.MoveToFront(el)
-	return el.Value.(*memEntry).res, true
-}
-
-// memPutLocked inserts (or refreshes) a result and evicts past the byte
-// budget. Called with s.mu held.
-func (s *Scheduler) memPutLocked(key string, r sim.Result) {
-	if el, ok := s.memIndex[key]; ok {
-		e := el.Value.(*memEntry)
-		s.memBytes -= e.bytes
-		e.res = r
-		e.bytes = resultBytes(key, r)
-		s.memBytes += e.bytes
-		s.memLRU.MoveToFront(el)
-	} else {
-		e := &memEntry{key: key, res: r, bytes: resultBytes(key, r)}
-		s.memIndex[key] = s.memLRU.PushFront(e)
-		s.memBytes += e.bytes
-	}
-	s.evictLocked()
-}
-
-// evictLocked drops least-recently-used entries until the tier fits its
-// budget, always keeping the most recent entry. Called with s.mu held.
-func (s *Scheduler) evictLocked() {
-	if s.memMax <= 0 {
-		return
-	}
-	for s.memBytes > s.memMax && s.memLRU.Len() > 1 {
-		el := s.memLRU.Back()
-		e := el.Value.(*memEntry)
-		s.memLRU.Remove(el)
-		delete(s.memIndex, e.key)
-		s.memBytes -= e.bytes
-		s.stats.Evictions++
-	}
-}
-
 func (s *Scheduler) count(bump func(*Stats)) {
 	s.mu.Lock()
 	bump(&s.stats)
 	s.mu.Unlock()
-}
-
-// resultBytes estimates a stored entry's memory footprint: the Result
-// shell, its slices' backing arrays, per-app strings, and the key.
-func resultBytes(key string, r sim.Result) int64 {
-	n := int64(unsafe.Sizeof(r)) + int64(len(key))
-	n += int64(len(r.Apps)) * int64(unsafe.Sizeof(sim.AppResult{}))
-	for i := range r.Apps {
-		n += int64(len(r.Apps[i].Cluster))
-	}
-	n += int64(len(r.DRAMBanks)) * int64(unsafe.Sizeof(mem.BankStats{}))
-	return n
 }
 
 // cloneResult copies the Apps and DRAMBanks slices so callers cannot alias

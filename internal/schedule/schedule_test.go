@@ -1,12 +1,9 @@
 package schedule
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -371,66 +368,9 @@ func TestSharedIsSingleton(t *testing.T) {
 	}
 }
 
-func TestArtifactJSONAndCSV(t *testing.T) {
-	dir := t.TempDir()
-	a := Artifact{Name: "test", GeneratedAt: time.Unix(0, 0).UTC()}
-	a.Add(TableData{
-		Title:  "Figure 3 — 16-core workloads",
-		Note:   "note",
-		Header: []string{"rank", "ADAPT_bp32"},
-		Rows:   [][]string{{"1", "1.010"}, {"2", "1.020"}},
-	})
-	a.Add(TableData{Title: "Figure 3 — 16-core workloads", Rows: [][]string{{"dup"}}})
-	a.Scheduler = Stats{Submitted: 3, Executed: 1, MemHits: 2}
-
-	jsonPath := filepath.Join(dir, "a.json")
-	if err := a.WriteJSON(jsonPath); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Artifact
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != "test" || len(back.Tables) != 2 || back.Scheduler.MemHits != 2 {
-		t.Fatalf("round-trip mangled the artifact: %+v", back)
-	}
-
-	csvDir := filepath.Join(dir, "csv")
-	if err := a.WriteCSV(csvDir); err != nil {
-		t.Fatal(err)
-	}
-	first, err := os.ReadFile(filepath.Join(csvDir, "figure_3_16-core_workloads.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(first), "rank,ADAPT_bp32") || !strings.Contains(string(first), "1,1.010") {
-		t.Fatalf("csv content wrong:\n%s", first)
-	}
-	if _, err := os.Stat(filepath.Join(csvDir, "figure_3_16-core_workloads_2.csv")); err != nil {
-		t.Fatal("duplicate-title table not disambiguated:", err)
-	}
-}
-
-func TestSlugify(t *testing.T) {
-	cases := map[string]string{
-		"Figure 3 — 16-core workloads": "figure_3_16-core_workloads",
-		"Table 2 — hardware cost":      "table_2_hardware_cost",
-		"  odd!!title  ":               "odd_title",
-	}
-	for in, want := range cases {
-		if got := slugify(in); got != want {
-			t.Errorf("slugify(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-// TestPanickingJobSettlesFlight is the regression test for the serving
-// bugfix: a panicking runFn must (a) not wedge latecomers blocked on the
-// flight, (b) release its pool slot, (c) surface as *PanicError on every
+// TestPanickingJobSettlesFlight is the regression test for the panic-safe
+// flight: a panicking runFn must (a) not wedge latecomers blocked on the
+// flight, (b) release its pool slot, (c) re-panic as *PanicError on every
 // caller, and (d) be counted in Stats.Panics. Before the fix, the flight
 // never settled and every latecomer on the key blocked forever.
 func TestPanickingJobSettlesFlight(t *testing.T) {
@@ -444,30 +384,29 @@ func TestPanickingJobSettlesFlight(t *testing.T) {
 	}
 	j := testJob(1)
 
-	leaderErr := make(chan error, 1)
-	go func() {
-		_, err := s.RunContext(context.Background(), j)
-		leaderErr <- err
-	}()
+	// run calls Run and reports what it panicked with (nil if it returned).
+	run := func(out chan<- any) {
+		defer func() { out <- recover() }()
+		s.Run(j)
+	}
+	leader := make(chan any, 1)
+	go run(leader)
 	<-entered
 
 	// A latecomer joins the in-flight key, then the job panics.
-	latecomerErr := make(chan error, 1)
-	go func() {
-		_, err := s.RunContext(context.Background(), j)
-		latecomerErr <- err
-	}()
+	latecomer := make(chan any, 1)
+	go run(latecomer)
 	for s.Stats().Shared < 1 {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)
 
-	for i, ch := range []chan error{leaderErr, latecomerErr} {
+	for i, ch := range []chan any{leader, latecomer} {
 		select {
-		case err := <-ch:
-			var pe *PanicError
-			if !errors.As(err, &pe) {
-				t.Fatalf("caller %d: err = %v, want *PanicError", i, err)
+		case p := <-ch:
+			pe, ok := p.(*PanicError)
+			if !ok {
+				t.Fatalf("caller %d: recovered %v, want *PanicError", i, p)
 			}
 			if pe.Key != j.Key() || pe.Stack == "" {
 				t.Fatalf("caller %d: incomplete PanicError: %+v", i, pe)
@@ -498,10 +437,9 @@ func TestPanickingJobSettlesFlight(t *testing.T) {
 	}
 }
 
-// TestRunRepanicsOnPanickedJob pins the legacy CLI contract: Run (the
-// no-context wrapper) re-panics a job panic as *PanicError after the
-// flight settles, preserving crash-on-bug behaviour without wedging
-// anyone else.
+// TestRunRepanicsOnPanickedJob pins the CLI contract: Run re-panics a job
+// panic as *PanicError after the flight settles, preserving crash-on-bug
+// behaviour without wedging anyone else.
 func TestRunRepanicsOnPanickedJob(t *testing.T) {
 	s := New(2)
 	s.runFn = func(j Job) sim.Result { panic("boom") }
@@ -542,149 +480,6 @@ func TestRunUncachedReleasesWidthOnPanic(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("pool slot leaked on uncached panic")
-	}
-}
-
-// TestRunContextWaiterAbandons: cancelling a waiter's context abandons the
-// wait without killing the flight — the leader completes, the result is
-// cached, and the abandonment is counted.
-func TestRunContextWaiterAbandons(t *testing.T) {
-	s := New(2)
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	s.runFn = func(j Job) sim.Result {
-		close(entered)
-		<-release
-		return fakeRun(21)(j)
-	}
-	j := testJob(1)
-
-	leaderRes := make(chan sim.Result, 1)
-	go func() { leaderRes <- s.Run(j) }()
-	<-entered
-
-	ctx, cancel := context.WithCancel(context.Background())
-	waiterErr := make(chan error, 1)
-	go func() {
-		_, err := s.RunContext(ctx, j)
-		waiterErr <- err
-	}()
-	for s.Stats().Shared < 1 {
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	select {
-	case err := <-waiterErr:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("waiter err = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled waiter did not return")
-	}
-
-	// The flight is still alive; releasing it completes the leader and
-	// caches the result.
-	close(release)
-	select {
-	case r := <-leaderRes:
-		if r.Apps[0].Cycles != 21 {
-			t.Fatalf("leader result = %+v", r)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("leader never completed")
-	}
-	st := s.Stats()
-	if st.Cancelled != 1 || st.Executed != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if s.Run(j).Apps[0].Cycles != 21 {
-		t.Fatal("result of abandoned flight was not cached")
-	}
-	if st := s.Stats(); st.MemHits != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// TestAbandonedLeaderFlightCompletes: even the caller that created the
-// flight can walk away; the execution finishes on its own goroutine and
-// the next requester gets a mem hit, not a re-execution.
-func TestAbandonedLeaderFlightCompletes(t *testing.T) {
-	s := New(2)
-	var executions atomic.Uint64
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	s.runFn = func(j Job) sim.Result {
-		executions.Add(1)
-		close(entered)
-		<-release
-		return fakeRun(33)(j)
-	}
-	j := testJob(1)
-	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := s.RunContext(ctx, j)
-		errCh <- err
-	}()
-	<-entered
-	cancel()
-	if err := <-errCh; !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-	close(release)
-	if err := s.WaitIdle(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if s.Run(j).Apps[0].Cycles != 33 {
-		t.Fatal("abandoned leader's result lost")
-	}
-	if executions.Load() != 1 {
-		t.Fatalf("executed %d times, want 1", executions.Load())
-	}
-}
-
-// TestMemBudgetEvictsLRU: the in-memory tier evicts least-recently-used
-// entries past its byte budget; evicted keys re-execute (or disk-hit), and
-// recently-touched keys survive.
-func TestMemBudgetEvictsLRU(t *testing.T) {
-	s := New(2)
-	var executions atomic.Uint64
-	s.runFn = func(j Job) sim.Result {
-		executions.Add(1)
-		return fakeRun(j.Config.Seed)(j)
-	}
-	jobs := make([]Job, 6)
-	for i := range jobs {
-		jobs[i] = testJob(uint64(i + 1))
-	}
-	perEntry := resultBytes(jobs[0].Key(), fakeRun(1)(jobs[0]))
-	s.SetMemBudget(3 * perEntry) // room for ~3 entries
-
-	for _, j := range jobs {
-		s.Run(j)
-	}
-	st := s.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions under a 3-entry budget: %+v", st)
-	}
-	if g := s.Gauges(); g.MemBytes > g.MemBudget {
-		t.Fatalf("mem tier over budget: %+v", g)
-	}
-
-	// The most recent job must still be resident ...
-	before := executions.Load()
-	if s.Run(jobs[len(jobs)-1]).Apps[0].Cycles != jobs[len(jobs)-1].Config.Seed {
-		t.Fatal("wrong result for resident key")
-	}
-	if executions.Load() != before {
-		t.Fatal("most-recent key was evicted")
-	}
-	// ... and the oldest must re-execute (no disk tier configured).
-	if s.Run(jobs[0]).Apps[0].Cycles != jobs[0].Config.Seed {
-		t.Fatal("wrong result for evicted key")
-	}
-	if executions.Load() != before+1 {
-		t.Fatal("evicted key did not re-execute")
 	}
 }
 
@@ -734,40 +529,6 @@ func TestDiskWriteFailureNotIndexed(t *testing.T) {
 	s2.Run(j)
 	if executions.Load() != 1 {
 		t.Fatal("phantom entry served after restart")
-	}
-}
-
-// TestSetCacheDirReopenDoesNotDoubleCount: re-opening the same cache dir
-// (paperfigd does this after every maintenance pass) must not re-add the
-// same load errors to Stats.DiskErrors.
-func TestSetCacheDirReopenDoesNotDoubleCount(t *testing.T) {
-	dir := t.TempDir()
-	s := New(2)
-	s.runFn = fakeRun(1)
-	if err := s.SetCacheDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	s.Run(testJob(1))
-	// Corrupt the segment tail, then open the dir twice more.
-	path := filepath.Join(dir, schemaSlug(), "misc.seg")
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString("{torn")
-	f.Close()
-
-	if err := s.SetCacheDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.DiskErrors != 1 {
-		t.Fatalf("first reopen: DiskErrors = %d, want 1", st.DiskErrors)
-	}
-	if err := s.SetCacheDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.DiskErrors != 1 {
-		t.Fatalf("second reopen double-counted: DiskErrors = %d, want 1", st.DiskErrors)
 	}
 }
 
@@ -824,7 +585,8 @@ func TestMaintainStoreCompactsAndEvicts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Duplicate appends for one key (mem-evicted re-executions do this).
+	// Duplicate appends for one key (two processes sharing a cache dir that
+	// both executed the job do this).
 	s := New(2)
 	s.runFn = fakeRun(7)
 	if err := s.SetCacheDir(dir); err != nil {
@@ -879,16 +641,6 @@ func TestMaintainStoreCompactsAndEvicts(t *testing.T) {
 	}
 	if rep2.SegmentsEvicted == 0 || rep2.BytesAfter > 1 {
 		t.Fatalf("size cap did not evict: %+v", rep2)
-	}
-}
-
-// TestWaitIdleImmediate: an idle scheduler reports idle without blocking.
-func TestWaitIdleImmediate(t *testing.T) {
-	s := New(2)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if err := s.WaitIdle(ctx); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -42,9 +42,8 @@ func (r StoreReport) String() string {
 //     only cost disk.
 //  2. Compaction: each current-schema segment file is rewritten (atomic
 //     temp + rename) keeping the last entry per key; duplicate-key lines
-//     (re-executions after mem evictions, concurrent multi-process
-//     appends) and unusable lines (torn appends, hand-edited garbage) are
-//     dropped.
+//     (processes sharing a cache dir that each executed the same job) and
+//     unusable lines (torn appends, hand-edited garbage) are dropped.
 //  3. Size cap: if maxBytes > 0 and the current-schema store still
 //     exceeds it, whole segment files are evicted oldest-modification
 //     first until it fits.
@@ -52,8 +51,7 @@ func (r StoreReport) String() string {
 // The cache is best-effort by contract, so maintenance racing a concurrent
 // appender can at worst drop a freshly-appended line — a re-executable
 // cache entry, never an answer. paperfigd is the conventional owner: it
-// runs a pass at startup and periodically, then re-opens the cache via
-// SetCacheDir to refresh the in-memory index.
+// runs one pass at startup, before opening the cache via SetCacheDir.
 func MaintainStore(root string, maxBytes int64) (StoreReport, error) {
 	var rep StoreReport
 	if _, err := os.Stat(root); os.IsNotExist(err) {

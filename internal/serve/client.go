@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/schedule"
 )
 
 // Client talks to a paperfigd server. The zero value is unusable; set
@@ -38,7 +37,7 @@ func (c *Client) url(path string) string {
 // StreamTables posts an experiment request and invokes emit for each table
 // frame as it arrives, returning the terminal summary. An error frame from
 // the server, a non-OK status, or an emit error aborts the stream.
-func (c *Client) StreamTables(ctx context.Context, req experiments.Request, emit func(schedule.TableData) error) (*StreamSummary, error) {
+func (c *Client) StreamTables(ctx context.Context, req experiments.Request, emit func(experiments.Table) error) (*StreamSummary, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, fmt.Errorf("serve: marshal request: %w", err)
@@ -83,48 +82,6 @@ func (c *Client) StreamTables(ctx context.Context, req experiments.Request, emit
 		return nil, fmt.Errorf("serve: %s: stream: %w", req.Name(), err)
 	}
 	return nil, fmt.Errorf("serve: %s: stream ended without a done frame (server died mid-request?)", req.Name())
-}
-
-// RunJob posts one raw schedule.Job and returns its key and result.
-// Cancelling ctx abandons the server-side wait (the flight itself runs to
-// completion and is cached).
-func (c *Client) RunJob(ctx context.Context, job schedule.Job) (*JobResponse, error) {
-	body, err := json.Marshal(job)
-	if err != nil {
-		return nil, fmt.Errorf("serve: marshal job: %w", err)
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url("/v1/jobs"), bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.http().Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("serve: job: %s", readError(resp))
-	}
-	var jr JobResponse
-	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
-		return nil, fmt.Errorf("serve: decode job response: %w", err)
-	}
-	return &jr, nil
-}
-
-// Healthy reports whether the server answers its liveness probe.
-func (c *Client) Healthy(ctx context.Context) bool {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/healthz"), nil)
-	if err != nil {
-		return false
-	}
-	resp, err := c.http().Do(hreq)
-	if err != nil {
-		return false
-	}
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
 }
 
 // readError extracts the {"error": ...} payload of a failed response.

@@ -1,9 +1,9 @@
 // Package serve is the simulation-as-a-service layer: it wraps the
-// process-wide schedule.Scheduler in an HTTP/JSON API so many concurrent
-// clients — paperfig -server, CI, curl — share one fleet-wide result
-// cache instead of one per invocation. The expensive recurring grids (the
-// TA-DRRIP baselines behind Figures 1/3/6/8, the LFOC fairness
-// comparisons) coalesce across every client of one paperfigd process.
+// process-wide schedule.Scheduler in an HTTP/JSON API so every
+// paperfig -server client shares one result cache instead of one per
+// invocation. The expensive recurring grids (the TA-DRRIP baselines behind
+// Figures 1/3/6/8, the LFOC fairness comparisons) coalesce across every
+// client of one paperfigd process.
 //
 // Endpoints:
 //
@@ -11,29 +11,20 @@
 //	                  response: NDJSON stream of frames — {"table": ...}
 //	                  per finished table, then {"done": summary} (or
 //	                  {"error": ...}). Tables stream as studies complete.
-//	POST /v1/jobs     body: schedule.Job (JSON)
-//	                  response: {"key": ..., "result": ...}. Identical
-//	                  concurrent jobs share one execution; a disconnected
-//	                  client abandons its wait without killing the flight.
 //	GET  /statsz      JSON snapshot: scheduler counters/gauges, store and
 //	                  HTTP traffic.
 //	GET  /metrics     the same numbers in Prometheus text format.
 //	GET  /healthz     liveness probe.
-//	POST /v1/store/maintain
-//	                  run a store-maintenance pass (compaction, stale
-//	                  schema eviction, size cap) and re-open the cache.
 //
 // Experiment requests run to completion server-side even if the client
 // disconnects mid-stream: the results were worth computing once and are
-// cached for the next requester. Raw-job waiters, by contrast, abandon
-// their flight the moment the request context ends (schedule.RunContext
-// semantics).
+// cached for the next requester.
 package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -44,7 +35,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/schedule"
-	"repro/internal/sim"
 )
 
 // DefaultStoreMaxBytes caps the on-disk segment store at 2 GiB unless the
@@ -53,17 +43,17 @@ const DefaultStoreMaxBytes int64 = 2 << 30
 
 // Config parameterises a Server.
 type Config struct {
-	// Scheduler executes raw jobs and feeds /statsz; nil means the
-	// process-wide schedule.Shared(). Note that experiment requests always
-	// run on the shared scheduler (the harnesses route through it), so a
-	// production server should leave this nil or pass Shared() — private
-	// schedulers are a seam for tests exercising the raw-job path.
+	// Scheduler owns the disk tier and feeds /statsz; nil means the
+	// process-wide schedule.Shared(). Experiment requests always run on the
+	// shared scheduler (the harnesses route through it), so a production
+	// server leaves this nil or passes Shared(); a private scheduler is a
+	// seam for tests.
 	Scheduler *schedule.Scheduler
 	// CacheDir is the on-disk result store root ("" disables the disk
-	// tier). The server owns the store: Open runs a maintenance pass and
+	// tier). The server owns the store: New runs a maintenance pass and
 	// opens it on the scheduler.
 	CacheDir string
-	// StoreMaxBytes caps the store size during maintenance passes
+	// StoreMaxBytes caps the store size at the startup maintenance pass
 	// (0 = DefaultStoreMaxBytes, negative = uncapped).
 	StoreMaxBytes int64
 	// MaxBodyBytes bounds request bodies (0 = 1 MiB).
@@ -80,13 +70,13 @@ type Server struct {
 
 	requests       atomic.Uint64
 	tablesStreamed atomic.Uint64
-	jobsServed     atomic.Uint64
 	httpErrors     atomic.Uint64
 	activeStreams  atomic.Int64
 }
 
-// New builds a Server and, when a cache dir is configured, grooms and
-// opens the store on the scheduler.
+// New builds a Server and, when a cache dir is configured, grooms the store
+// (stale-schema eviction, duplicate-line compaction, size cap; see
+// schedule.MaintainStore) and opens it on the scheduler.
 func New(cfg Config) (*Server, error) {
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = schedule.Shared()
@@ -98,51 +88,29 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxBodyBytes = 1 << 20
 	}
 	if cfg.Log == nil {
-		cfg.Log = log.New(os.Stderr, "", 0)
-		cfg.Log.SetOutput(discard{})
+		cfg.Log = log.New(io.Discard, "", 0)
 	}
-	s := &Server{cfg: cfg, sched: cfg.Scheduler, start: time.Now()}
 	if cfg.CacheDir != "" {
-		if _, err := s.MaintainStore(); err != nil {
+		max := cfg.StoreMaxBytes
+		if max < 0 {
+			max = 0 // MaintainStore treats 0 as uncapped
+		}
+		rep, err := schedule.MaintainStore(cfg.CacheDir, max)
+		if err != nil {
 			return nil, err
 		}
+		if err := cfg.Scheduler.SetCacheDir(cfg.CacheDir); err != nil {
+			return nil, err
+		}
+		cfg.Log.Printf("paperfigd: store maintenance: %s", rep)
 	}
-	return s, nil
-}
-
-// discard is io.Discard as an io.Writer without importing io for one use.
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
-// Scheduler returns the scheduler serving the raw-job endpoint.
-func (s *Server) Scheduler() *schedule.Scheduler { return s.sched }
-
-// MaintainStore runs one maintenance pass (stale-schema eviction,
-// duplicate-line compaction, size cap) and re-opens the cache dir so the
-// in-memory disk index reflects the groomed files.
-func (s *Server) MaintainStore() (schedule.StoreReport, error) {
-	max := s.cfg.StoreMaxBytes
-	if max < 0 {
-		max = 0 // MaintainStore treats 0 as uncapped
-	}
-	rep, err := schedule.MaintainStore(s.cfg.CacheDir, max)
-	if err != nil {
-		return rep, err
-	}
-	if err := s.sched.SetCacheDir(s.cfg.CacheDir); err != nil {
-		return rep, err
-	}
-	s.cfg.Log.Printf("paperfigd: store maintenance: %s", rep)
-	return rep, nil
+	return &Server{cfg: cfg, sched: cfg.Scheduler, start: time.Now()}, nil
 }
 
 // Handler returns the server's HTTP mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/tables", s.handleTables)
-	mux.HandleFunc("/v1/jobs", s.handleJob)
-	mux.HandleFunc("/v1/store/maintain", s.handleMaintain)
 	mux.HandleFunc("/statsz", s.handleStatsz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -168,18 +136,9 @@ type StreamSummary struct {
 // set per line: Table for each result, then either Done or Error to
 // terminate the stream.
 type Frame struct {
-	Table *schedule.TableData `json:"table,omitempty"`
-	Done  *StreamSummary      `json:"done,omitempty"`
-	Error string              `json:"error,omitempty"`
-}
-
-// JobResponse is the /v1/jobs response body.
-type JobResponse struct {
-	// Key is the job's content-addressed identity (diagnostic: two clients
-	// seeing one key share one execution).
-	Key string `json:"key"`
-	// Result is the simulation outcome.
-	Result sim.Result `json:"result"`
+	Table *experiments.Table `json:"table,omitempty"`
+	Done  *StreamSummary     `json:"done,omitempty"`
+	Error string             `json:"error,omitempty"`
 }
 
 func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
@@ -211,9 +170,7 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	emit := func(t experiments.Table) {
 		tables++
 		s.tablesStreamed.Add(1)
-		enc.Encode(Frame{Table: &schedule.TableData{
-			Title: t.Title, Note: t.Note, Header: t.Header, Rows: t.Rows,
-		}})
+		enc.Encode(Frame{Table: &t})
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -245,67 +202,6 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	s.cfg.Log.Printf("paperfigd: %s served (%d tables, %s)", req.Name(), tables, time.Since(start).Round(time.Millisecond))
 }
 
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var job schedule.Job
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&job); err != nil {
-		s.fail(w, http.StatusBadRequest, "decode job: "+err.Error())
-		return
-	}
-	if err := job.Config.Validate(); err != nil {
-		s.fail(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(job.Names) != job.Config.Cores {
-		s.fail(w, http.StatusBadRequest,
-			fmt.Sprintf("job names %d vs cores %d", len(job.Names), job.Config.Cores))
-		return
-	}
-	if job.Measure == 0 {
-		s.fail(w, http.StatusBadRequest, "job needs a measured-instruction budget")
-		return
-	}
-
-	res, err := s.sched.RunContext(r.Context(), job)
-	switch {
-	case err == nil:
-		s.jobsServed.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(JobResponse{Key: job.Key(), Result: res})
-	case errors.Is(err, r.Context().Err()) && r.Context().Err() != nil:
-		// Client gone; nothing to write.
-		s.httpErrors.Add(1)
-	default:
-		// Execution failure (PanicError): the job itself is bad.
-		s.httpErrors.Add(1)
-		s.fail(w, http.StatusInternalServerError, err.Error())
-	}
-}
-
-func (s *Server) handleMaintain(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.cfg.CacheDir == "" {
-		s.fail(w, http.StatusConflict, "no cache dir configured")
-		return
-	}
-	rep, err := s.MaintainStore()
-	if err != nil {
-		s.httpErrors.Add(1)
-		s.fail(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(rep)
-}
-
 // Statsz is the JSON document served at /statsz.
 type Statsz struct {
 	// Uptime is how long this server has been running.
@@ -323,11 +219,10 @@ type Statsz struct {
 
 // HTTPStats counts server traffic.
 type HTTPStats struct {
-	// Requests counts every API call; TablesStreamed and JobsServed count
-	// successful outputs; Errors counts failed requests.
+	// Requests counts every API call; TablesStreamed counts tables sent to
+	// clients; Errors counts failed requests.
 	Requests       uint64 `json:"requests"`
 	TablesStreamed uint64 `json:"tables_streamed"`
-	JobsServed     uint64 `json:"jobs_served"`
 	Errors         uint64 `json:"errors"`
 	// ActiveStreams is the number of table streams in flight right now.
 	ActiveStreams int64 `json:"active_streams"`
@@ -339,7 +234,7 @@ type StoreStats struct {
 	Dir string `json:"dir,omitempty"`
 	// Bytes is the current-schema store size on disk.
 	Bytes int64 `json:"bytes"`
-	// MaxBytes is the maintenance size cap (0 = uncapped).
+	// MaxBytes is the startup maintenance size cap (negative = uncapped).
 	MaxBytes int64 `json:"max_bytes"`
 }
 
@@ -353,7 +248,6 @@ func (s *Server) Snapshot() Statsz {
 		HTTP: HTTPStats{
 			Requests:       s.requests.Load(),
 			TablesStreamed: s.tablesStreamed.Load(),
-			JobsServed:     s.jobsServed.Load(),
 			Errors:         s.httpErrors.Load(),
 			ActiveStreams:  s.activeStreams.Load(),
 		},
@@ -394,18 +288,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("scheduler_shared_total", sc.Shared, "callers that joined an in-flight execution")
 	counter("scheduler_uncached_total", sc.Uncached, "uncached (hook-instrumented) executions")
 	counter("scheduler_disk_errors_total", sc.DiskErrors, "disk tier reads/writes treated as misses")
-	counter("scheduler_evictions_total", sc.Evictions, "mem-tier LRU evictions")
-	counter("scheduler_cancelled_total", sc.Cancelled, "waiters that abandoned a flight")
 	counter("scheduler_panics_total", sc.Panics, "jobs whose execution panicked")
 	gauge("scheduler_inflight_flights", int64(g.InflightFlights), "singleflight keys executing now")
 	gauge("scheduler_pool_cap", int64(g.PoolCap), "worker pool slots")
 	gauge("scheduler_pool_busy", int64(g.PoolBusy), "worker pool slots claimed")
 	gauge("scheduler_queue_depth", int64(g.QueueDepth), "jobs waiting for pool admission")
 	gauge("scheduler_mem_entries", int64(g.MemEntries), "mem-tier cached results")
-	gauge("scheduler_mem_bytes", g.MemBytes, "mem-tier size estimate")
 	counter("http_requests_total", st.HTTP.Requests, "API requests received")
 	counter("http_tables_streamed_total", st.HTTP.TablesStreamed, "tables streamed to clients")
-	counter("http_jobs_served_total", st.HTTP.JobsServed, "raw jobs answered")
 	counter("http_errors_total", st.HTTP.Errors, "failed API requests")
 	gauge("http_active_streams", st.HTTP.ActiveStreams, "table streams in flight")
 	gauge("store_bytes", st.Store.Bytes, "on-disk segment store size")

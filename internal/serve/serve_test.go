@@ -4,15 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/schedule"
@@ -32,8 +31,8 @@ func stubJob(seed uint64) schedule.Job {
 	}
 }
 
-// stubResult derives a deterministic, seed-distinguishable result so the
-// load test can verify responses are bit-identical to the direct path.
+// stubResult derives a deterministic, seed-distinguishable result so a
+// disk-served copy can be compared with the original.
 func stubResult(j schedule.Job) sim.Result {
 	return sim.Result{
 		Apps: []sim.AppResult{
@@ -44,7 +43,7 @@ func stubResult(j schedule.Job) sim.Result {
 	}
 }
 
-func newTestServer(t *testing.T, sched *schedule.Scheduler) (*Server, *httptest.Server) {
+func newTestServer(t *testing.T, sched *schedule.Scheduler) *httptest.Server {
 	t.Helper()
 	srv, err := New(Config{Scheduler: sched})
 	if err != nil {
@@ -52,127 +51,7 @@ func newTestServer(t *testing.T, sched *schedule.Scheduler) (*Server, *httptest.
 	}
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
-	return srv, hs
-}
-
-// TestServeLoad is the bench-smoke load test: thousands of concurrent
-// mixed hot/cold requests against a live server must coalesce through the
-// scheduler (executions ≪ submissions), return bit-identical results to
-// the direct scheduler path, and leave no goroutines behind after a
-// graceful drain.
-func TestServeLoad(t *testing.T) {
-	sched := schedule.New(4)
-	var mu sync.Mutex
-	executed := 0
-	sched.SetRunFn(func(j schedule.Job) sim.Result {
-		mu.Lock()
-		executed++
-		mu.Unlock()
-		time.Sleep(20 * time.Millisecond) // widen the coalescing window
-		return stubResult(j)
-	})
-
-	_, hs := newTestServer(t, sched)
-	client := &Client{BaseURL: hs.URL}
-
-	const (
-		uniqueJobs = 8
-		requests   = 2000
-	)
-	// Direct-path ground truth, computed on an identical private scheduler
-	// so the server's scheduler stats stay untouched.
-	want := map[uint64]sim.Result{}
-	for seed := uint64(1); seed <= uniqueJobs; seed++ {
-		want[seed] = stubResult(stubJob(seed))
-	}
-
-	baseline := runtime.NumGoroutine()
-
-	var wg sync.WaitGroup
-	errs := make(chan error, requests)
-	for i := 0; i < requests; i++ {
-		seed := uint64(i%uniqueJobs) + 1
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			jr, err := client.RunJob(context.Background(), stubJob(seed))
-			if err != nil {
-				errs <- err
-				return
-			}
-			if !reflect.DeepEqual(jr.Result, want[seed]) {
-				errs <- fmt.Errorf("seed %d: server result diverges from direct path", seed)
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	mu.Lock()
-	got := executed
-	mu.Unlock()
-	if got != uniqueJobs {
-		t.Fatalf("executed %d jobs for %d unique keys across %d requests (coalescing broken)", got, uniqueJobs, requests)
-	}
-	st := sched.Stats()
-	if st.Submitted != requests {
-		t.Fatalf("submitted = %d, want %d", st.Submitted, requests)
-	}
-	if st.Executed != uniqueJobs {
-		t.Fatalf("stats executed = %d, want %d", st.Executed, uniqueJobs)
-	}
-	if st.Shared+st.MemHits != requests-uniqueJobs {
-		t.Fatalf("shared+mem-hits = %d, want %d (every non-first request must coalesce or hit)", st.Shared+st.MemHits, requests-uniqueJobs)
-	}
-
-	// Graceful drain: no inflight work, and the goroutine count returns to
-	// the neighbourhood of the baseline (HTTP keepalive workers etc. get a
-	// generous allowance, flight leaks of 2000 requests would dwarf it).
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := sched.WaitIdle(ctx); err != nil {
-		t.Fatalf("WaitIdle: %v", err)
-	}
-	hs.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= baseline+20 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > baseline+20 {
-		t.Fatalf("goroutine leak after drain: %d running, baseline %d", n, baseline)
-	}
-}
-
-// TestJobRoundTrip runs one real (tiny) simulation through the HTTP path
-// and checks the response is bit-identical to running the job directly.
-func TestJobRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real simulation")
-	}
-	job := stubJob(7)
-	direct := schedule.New(0).Run(job)
-
-	sched := schedule.New(0)
-	_, hs := newTestServer(t, sched)
-	client := &Client{BaseURL: hs.URL}
-	jr, err := client.RunJob(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jr.Key != job.Key() {
-		t.Fatalf("key = %s, want %s", jr.Key, job.Key())
-	}
-	dj, _ := json.Marshal(direct)
-	sj, _ := json.Marshal(jr.Result)
-	if !bytes.Equal(dj, sj) {
-		t.Fatalf("served result != direct result\nserved: %s\ndirect: %s", sj, dj)
-	}
+	return hs
 }
 
 // TestTablesStreamMatchesLocal streams the one simulation-free request
@@ -180,17 +59,17 @@ func TestJobRoundTrip(t *testing.T) {
 // request in process — the contract that makes paperfig -server output
 // byte-equal to local output.
 func TestTablesStreamMatchesLocal(t *testing.T) {
-	var local []schedule.TableData
+	var local []experiments.Table
 	req := experiments.Request{Table: 2, Opt: experiments.Tiny()}
-	if err := req.Run(func(tb experiments.Table) { local = append(local, tb.Data()) }); err != nil {
+	if err := req.Run(func(tb experiments.Table) { local = append(local, tb) }); err != nil {
 		t.Fatal(err)
 	}
 
-	_, hs := newTestServer(t, schedule.New(1))
+	hs := newTestServer(t, schedule.New(1))
 	client := &Client{BaseURL: hs.URL}
-	var streamed []schedule.TableData
-	sum, err := client.StreamTables(context.Background(), req, func(td schedule.TableData) error {
-		streamed = append(streamed, td)
+	var streamed []experiments.Table
+	sum, err := client.StreamTables(context.Background(), req, func(tb experiments.Table) error {
+		streamed = append(streamed, tb)
 		return nil
 	})
 	if err != nil {
@@ -207,9 +86,9 @@ func TestTablesStreamMatchesLocal(t *testing.T) {
 }
 
 // TestBadRequests covers the rejection paths: wrong method, undecodable
-// body, invalid experiment selection, malformed job.
+// body, invalid experiment selection.
 func TestBadRequests(t *testing.T) {
-	_, hs := newTestServer(t, schedule.New(1))
+	hs := newTestServer(t, schedule.New(1))
 
 	get, err := http.Get(hs.URL + "/v1/tables")
 	if err != nil {
@@ -230,33 +109,28 @@ func TestBadRequests(t *testing.T) {
 			t.Fatalf("POST /v1/tables %q = %d, want 400", body, resp.StatusCode)
 		}
 	}
-
-	for _, body := range []string{"not json", `{"config": {"Cores": 0}, "names": []}`} {
-		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("POST /v1/jobs %q = %d, want 400", body, resp.StatusCode)
-		}
-	}
 }
 
-// TestStatszAndMetrics smoke-tests the observability endpoints.
+// TestStatszAndMetrics fills a scheduler through Run, then checks the
+// observability endpoints: /healthz answers, /statsz carries the counters,
+// and /metrics serves exactly the documented series with their values.
 func TestStatszAndMetrics(t *testing.T) {
 	sched := schedule.New(2)
-	sched.SetRunFn(func(j schedule.Job) sim.Result { return stubResult(j) })
-	_, hs := newTestServer(t, sched)
-	client := &Client{BaseURL: hs.URL}
-	if !client.Healthy(context.Background()) {
-		t.Fatal("healthz failed")
-	}
-	if _, err := client.RunJob(context.Background(), stubJob(1)); err != nil {
+	sched.SetRunFn(stubResult)
+	hs := newTestServer(t, sched)
+	sched.Run(stubJob(1))
+	sched.Run(stubJob(1)) // mem hit
+
+	resp, err := http.Get(hs.URL + "/healthz")
+	if err != nil {
 		t.Fatal(err)
 	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz = %d", resp.StatusCode)
+	}
 
-	resp, err := http.Get(hs.URL + "/statsz")
+	resp, err = http.Get(hs.URL + "/statsz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +142,7 @@ func TestStatszAndMetrics(t *testing.T) {
 	if st.KeySchema != schedule.KeySchema {
 		t.Fatalf("statsz key schema = %q, want %q", st.KeySchema, schedule.KeySchema)
 	}
-	if st.Scheduler.Submitted != 1 || st.HTTP.JobsServed != 1 {
+	if st.Scheduler.Submitted != 2 || st.Scheduler.Executed != 1 || st.Gauges.MemEntries != 1 {
 		t.Fatalf("statsz counters: %+v", st)
 	}
 
@@ -279,65 +153,76 @@ func TestStatszAndMetrics(t *testing.T) {
 	var buf bytes.Buffer
 	buf.ReadFrom(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{
-		"paperfigd_scheduler_submitted_total 1",
-		"paperfigd_http_jobs_served_total 1",
-		"paperfigd_scheduler_pool_cap 2",
-	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("metrics missing %q:\n%s", want, buf.String())
+	got := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if name, value, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			got[name] = value
 		}
+	}
+	want := map[string]string{
+		"paperfigd_scheduler_submitted_total":   "2",
+		"paperfigd_scheduler_executed_total":    "1",
+		"paperfigd_scheduler_mem_hits_total":    "1",
+		"paperfigd_scheduler_disk_hits_total":   "0",
+		"paperfigd_scheduler_shared_total":      "0",
+		"paperfigd_scheduler_uncached_total":    "0",
+		"paperfigd_scheduler_disk_errors_total": "0",
+		"paperfigd_scheduler_panics_total":      "0",
+		"paperfigd_scheduler_inflight_flights":  "0",
+		"paperfigd_scheduler_pool_cap":          "2",
+		"paperfigd_scheduler_pool_busy":         "0",
+		"paperfigd_scheduler_queue_depth":       "0",
+		"paperfigd_scheduler_mem_entries":       "1",
+		"paperfigd_http_requests_total":         "2", // /statsz and this /metrics
+		"paperfigd_http_tables_streamed_total":  "0",
+		"paperfigd_http_errors_total":           "0",
+		"paperfigd_http_active_streams":         "0",
+		"paperfigd_store_bytes":                 "0",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("metrics = %v\nwant %v", got, want)
 	}
 }
 
-// TestMaintainEndpoint exercises the store-maintenance endpoint against a
-// store seeded with a stale schema directory and duplicate lines.
-func TestMaintainEndpoint(t *testing.T) {
+// TestStartupMaintenanceKeepsEntries: New grooms the store before opening
+// it, and the pass must keep every durable entry. Two schedulers that
+// share a cache dir both execute one job (leaving a duplicate line), and a
+// stale schema directory sits beside the store; the server's scheduler
+// must then answer the job from disk.
+func TestStartupMaintenanceKeepsEntries(t *testing.T) {
 	dir := t.TempDir()
+	var want sim.Result
+	writers := []*schedule.Scheduler{schedule.New(1), schedule.New(1)}
+	for _, w := range writers {
+		w.SetRunFn(stubResult)
+		if err := w.SetCacheDir(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range writers {
+		want = w.Run(stubJob(1))
+	}
+	stale := filepath.Join(dir, "job-v0+stale-schema")
+	if err := os.MkdirAll(stale, 0o755); err != nil {
+		t.Fatal(err)
+	}
+
 	sched := schedule.New(1)
-	sched.SetRunFn(func(j schedule.Job) sim.Result { return stubResult(j) })
-
-	srv, err := New(Config{Scheduler: sched, CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-
-	// Populate the store, then run maintenance over HTTP.
-	if _, err := (&Client{BaseURL: hs.URL}).RunJob(context.Background(), stubJob(1)); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(hs.URL+"/v1/store/maintain", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep schedule.StoreReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("maintain = %d", resp.StatusCode)
-	}
-	if rep.BytesAfter == 0 {
-		t.Fatal("store empty after a cached run; expected the job's segment line to survive maintenance")
-	}
-
-	// The re-opened cache must serve the entry back: a fresh scheduler on
-	// the same dir should disk-hit, not execute.
-	fresh := schedule.New(1)
-	fresh.SetRunFn(func(j schedule.Job) sim.Result {
-		t.Error("re-executed a job that maintenance should have preserved")
+	sched.SetRunFn(func(j schedule.Job) sim.Result {
+		t.Error("re-executed a job that startup maintenance should have kept")
 		return stubResult(j)
 	})
-	if err := fresh.SetCacheDir(dir); err != nil {
+	var logs bytes.Buffer
+	if _, err := New(Config{Scheduler: sched, CacheDir: dir, Log: log.New(&logs, "", 0)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := fresh.Run(stubJob(1)); !reflect.DeepEqual(got, stubResult(stubJob(1))) {
+	if !strings.Contains(logs.String(), "schemas-evicted=1 segments-compacted=1 lines-dropped=1") {
+		t.Fatalf("startup maintenance did not groom the store: %q", logs.String())
+	}
+	if got := sched.Run(stubJob(1)); !reflect.DeepEqual(got, want) {
 		t.Fatal("disk-served result diverges")
 	}
-	if st := fresh.Stats(); st.DiskHits != 1 {
+	if st := sched.Stats(); st.DiskHits != 1 || st.Executed != 0 {
 		t.Fatalf("stats = %s, want one disk hit", st)
 	}
 }

@@ -83,9 +83,9 @@ type Config struct {
 	// LLCAccessHook, if set, observes every demand access that reaches the
 	// LLC (used by the Table 4 footprint-measurement harness). It must not
 	// mutate simulator state. Hooks are process-local by nature: they are
-	// excluded from both the fingerprint (func fields always are) and the
-	// JSON form, so a schedule.Job can travel to a paperfigd server —
-	// hook-carrying jobs must use the uncached, in-process path.
+	// excluded from the fingerprint (func fields always are) and from the
+	// JSON form (encoding/json rejects func fields), and hook-carrying jobs
+	// must use the scheduler's uncached path.
 	LLCAccessHook func(core, set int, block uint64) `json:"-"`
 }
 
