@@ -389,8 +389,9 @@ func (s *Scheduler) Run(j Job) sim.Result {
 // write-back, settlement. The deferred settle is the panic-safety
 // contract — no matter what the job does, waiters are woken and the key
 // is released, with a panic converted into the flight's error. Run starts
-// it on a fresh goroutine rather than the caller's: the inline variant
-// measured slower per-job setup in the perf benchmark (perf/).
+// it on a fresh goroutine rather than running it on the caller's: the
+// inline variant made the perf benchmark's mix16-balanced setup_s 56%
+// worse (median of 6 alternating pairs, 2-vCPU Xeon, Go 1.24.0).
 func (s *Scheduler) lead(key string, j Job, f *flight, disk *diskCache) {
 	var (
 		res  sim.Result
