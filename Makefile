@@ -43,15 +43,18 @@ perf-check:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/experiments
 
-# CI smoke: regenerate a representative figure/table set at Tiny fidelity
-# through the shared scheduler and emit the structured artifact CI uploads
-# as the perf trajectory (BENCH_*.json), plus one-shot benchmarks
-# (-benchtime 1x: a smoke that the benches run, not a timing claim):
-# BENCH_policy_victim.txt for the policy layer, and BENCH_sim_substrate.txt
+# CI smoke: regenerate a representative figure set at Tiny fidelity
+# through the shared scheduler and emit the structured artifacts CI
+# uploads (BENCH_paperfig_*.json, with scheduler counters), plus one-shot
+# benchmarks (-benchtime 1x: a smoke that the benches run, not a timing
+# claim; perf/ is the timed benchmark) kept as BENCH_*.txt:
+# BENCH_policy_victim.txt for the policy layer, BENCH_sim_substrate.txt
 # for the simulator — the balanced Mix16 and the substrate-bound streaming
-# Mix16 serial runs. BENCH_sampling.json carries the
-# sampled-fidelity headline (speedup + ipc-err-pct vs the detailed
-# reference at paper-scale budgets) as custom benchmark metrics.
+# Mix16 serial runs — BENCH_hotpath.txt for the balanced Mix16 and victim
+# selection with -benchmem, BENCH_tracegen.txt for trace generation, and
+# BENCH_sampling.txt with the sampled-fidelity headline (speedup +
+# ipc-err-pct vs the detailed reference at paper-scale budgets) as custom
+# benchmark metrics.
 bench-smoke: build
 	$(GO) run ./cmd/paperfig -fig 1 -tiny -stats -cache-dir .simcache -json BENCH_paperfig_fig1.json
 	$(GO) run ./cmd/paperfig -fig 6 -tiny -stats -cache-dir .simcache -json BENCH_paperfig_fig6.json
@@ -62,13 +65,10 @@ bench-smoke: build
 	$(GO) test -bench 'RunMix16$$' -benchmem -benchtime 1x -run '^$$' ./internal/sim > BENCH_hotpath.txt || { cat BENCH_hotpath.txt; exit 1; }
 	$(GO) test -bench 'Victim$$|VictimDistant$$|VictimAllWays$$' -benchmem -benchtime 1x -run '^$$' ./internal/policy >> BENCH_hotpath.txt || { cat BENCH_hotpath.txt; exit 1; }
 	cat BENCH_hotpath.txt
-	$(GO) run ./cmd/benchjson < BENCH_hotpath.txt > BENCH_hotpath.json
 	$(GO) test -bench 'BenchmarkNext' -benchmem -benchtime 200000x -run '^$$' ./internal/trace > BENCH_tracegen.txt || { cat BENCH_tracegen.txt; exit 1; }
 	cat BENCH_tracegen.txt
-	$(GO) run ./cmd/benchjson < BENCH_tracegen.txt > BENCH_tracegen.json
 	$(GO) test -bench 'SamplingFidelity$$' -benchtime 1x -run '^$$' ./internal/sim > BENCH_sampling.txt || { cat BENCH_sampling.txt; exit 1; }
 	cat BENCH_sampling.txt
-	$(GO) run ./cmd/benchjson < BENCH_sampling.txt > BENCH_sampling.json
 
 # End-to-end smoke of the serving layer: paperfigd up, `paperfig -server`
 # output byte-identical to a local run, SIGTERM drains in-flight work.

@@ -21,8 +21,7 @@
 //	-measure N       instructions/app measured     (default 600000)
 //	-warmup N        instructions/app warmed up    (default 150000)
 //	-seed N          experiment seed               (default 42)
-//	-parallel N      concurrent simulations        (default GOMAXPROCS)
-//	-trace-batch N   per-core trace batch length   (default 0 = built-in)
+//	-parallel N      jobs in flight per harness    (default GOMAXPROCS)
 //
 // Sampled fidelity (SMARTS-style periodic sampling):
 //
@@ -36,13 +35,13 @@
 // estimates from the detailed windows only, with confidence intervals in
 // the tables' sampling validation output), so sampled runs are cached
 // separately from detailed ones; but for a fixed sampling configuration
-// results remain bit-identical across -parallel and -trace-batch.
+// results remain bit-identical across -parallel.
 //
-// Each simulation is single-threaded; -parallel runs that many of them at
-// once and changes no output bit, since simulations are deterministic.
-// -trace-batch is likewise bit-identical for every value (batched trace
-// delivery emits the exact scalar op stream); it exists so the CI
-// determinism job can diff batch lengths, not for tuning.
+// Each simulation is single-threaded. -parallel caps how many simulations
+// each harness submits at once to the shared scheduler, whose pool runs at
+// most GOMAXPROCS of them at a time: -parallel 8 on a 2-CPU host still
+// runs two at once. It changes no output bit, since simulations are
+// deterministic.
 //
 // Output and caching flags:
 //
@@ -97,7 +96,7 @@ func sampleOptions(sample bool, windows int, detail, warm uint64) (sim.SampleCon
 // flagged base options. full and tiny are mutually exclusive (previously
 // -tiny silently won the combination). With a preset selected, explicitly-
 // passed fidelity flags still override it (e.g. `-tiny -seed 7` is Tiny at
-// seed 7); execution knobs and the sampling axis always carry over, since
+// seed 7); -parallel and the sampling axis always carry over, since
 // presets say nothing about them.
 func fidelityOptions(base experiments.Options, full, tiny bool, explicit map[string]bool) (experiments.Options, error) {
 	if full && tiny {
@@ -111,7 +110,6 @@ func fidelityOptions(base experiments.Options, full, tiny bool, explicit map[str
 		preset = experiments.Tiny()
 	}
 	preset.Parallelism = base.Parallelism
-	preset.TraceBatch = base.TraceBatch
 	preset.Sample = base.Sample
 	if explicit["cache-scale"] {
 		preset.Scale = base.Scale
@@ -146,8 +144,7 @@ func main() {
 		measure   = flag.Uint64("measure", 600_000, "measured instructions per app")
 		warmup    = flag.Uint64("warmup", 150_000, "warm-up instructions per app")
 		seed      = flag.Uint64("seed", 42, "experiment seed")
-		par       = flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
-		traceBat  = flag.Int("trace-batch", 0, "per-core trace-delivery batch length (0 = default); results are bit-identical for every value — a testing knob for the determinism CI legs")
+		par       = flag.Int("parallel", 0, "simulations each harness keeps in flight (0 = GOMAXPROCS); at most GOMAXPROCS run at once")
 		sample    = flag.Bool("sample", false, "sampled fidelity: SMARTS-style detailed windows + deterministic functional warming")
 		sampleWin = flag.Int("sample-windows", 0, "detailed measurement windows per app (0 = default 20; implies -sample)")
 		sampleDet = flag.Uint64("sample-detail", 0, "detailed instructions per measurement window (0 = budget-derived)")
@@ -184,7 +181,6 @@ func main() {
 		MeasureInstr: *measure,
 		Seed:         *seed,
 		Parallelism:  *par,
-		TraceBatch:   *traceBat,
 		Sample:       sampleCfg,
 	}, *full, *tiny, explicit)
 	if err != nil {

@@ -16,7 +16,6 @@ func baseOpt() experiments.Options {
 		MeasureInstr: 600_000,
 		Seed:         42,
 		Parallelism:  3,
-		TraceBatch:   1,
 	}
 }
 
@@ -38,7 +37,7 @@ func TestFidelityPresetsAndOverrides(t *testing.T) {
 		t.Fatalf("no-preset passthrough: got %+v, err %v", got, err)
 	}
 
-	// -tiny: preset fidelity, but execution knobs and sampling carry over.
+	// -tiny: preset fidelity, but -parallel and sampling carry over.
 	in := baseOpt()
 	in.Sample = sim.SampleConfig{Windows: 8}
 	got, err := fidelityOptions(in, false, true, map[string]bool{})
@@ -46,7 +45,7 @@ func TestFidelityPresetsAndOverrides(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := experiments.Tiny()
-	want.Parallelism, want.TraceBatch = in.Parallelism, in.TraceBatch
+	want.Parallelism = in.Parallelism
 	want.Sample = in.Sample
 	if got != want {
 		t.Errorf("-tiny: got %+v, want %+v", got, want)

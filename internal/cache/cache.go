@@ -176,24 +176,6 @@ func (s *Stats) Reset() {
 	}
 }
 
-// TotalDemandMisses sums demand misses across cores.
-func (s *Stats) TotalDemandMisses() uint64 {
-	var t uint64
-	for _, v := range s.DemandMisses {
-		t += v
-	}
-	return t
-}
-
-// TotalDemandAccesses sums demand accesses across cores.
-func (s *Stats) TotalDemandAccesses() uint64 {
-	var t uint64
-	for _, v := range s.DemandAccesses {
-		t += v
-	}
-	return t
-}
-
 // Cache is a set-associative, write-back, write-allocate cache.
 //
 // State is struct-of-arrays, the dense layout of the ChampSim-style

@@ -134,18 +134,6 @@ func (e *Engine) SetWayMask(core int, mask uint64) {
 	e.masks[core] = mask & ((uint64(1) << e.geom.Ways) - 1)
 }
 
-// MaskOf returns the effective fill mask for core: the full-cache mask when
-// the core is unrestricted, its way mask otherwise.
-func (e *Engine) MaskOf(core int) uint64 {
-	if e.masks == nil {
-		return 0
-	}
-	if m := e.masks[core]; m != 0 {
-		return m
-	}
-	return e.fullMask
-}
-
 // VictimFor is Victim with way-mask enforcement: when the filling core has
 // a way mask, the victim is chosen among the masked ways only; otherwise it
 // defers to Victim. Call sites in the concrete policies route every

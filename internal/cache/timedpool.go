@@ -53,9 +53,6 @@ func NewTimedPool(capacity int) *TimedPool {
 	return &TimedPool{capacity: capacity, occs: make([]occupation, 0, capacity)}
 }
 
-// Capacity returns the configured number of entries.
-func (p *TimedPool) Capacity() int { return p.capacity }
-
 // InFlight returns the number of currently tracked occupations. Entries
 // whose done time has passed still count until drained by Reserve; callers
 // interested in logical occupancy at a time t should use BusyAt.

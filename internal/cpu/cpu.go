@@ -40,10 +40,12 @@ type FunctionalMem interface {
 	FunctionalAccess(addr uint64, write bool, pc uint64)
 }
 
-// DefaultTraceBatch is the trace-delivery batch length used when
-// Config.TraceBatch is zero: large enough to amortise the per-batch
-// dispatch to near nothing, small enough (a 2KB ring) to stay resident in
-// L1 next to the core's other hot state.
+// DefaultTraceBatch is the length of every core's op ring: large enough to
+// amortise the per-refill dispatch to near nothing, small enough (a 2KB
+// ring) to stay resident in L1 next to the core's other hot state. It is a
+// constant, not a knob, because every length yields the same op stream:
+// generators are state machines independent of simulation time, so
+// pre-drawing cannot change any emitted op.
 const DefaultTraceBatch = 64
 
 // Config sizes a core.
@@ -52,14 +54,6 @@ type Config struct {
 	Width          int // retire width (4)
 	ROB            int // reorder-buffer window in instructions (128)
 	MaxOutstanding int // simultaneous incomplete loads (L1 MSHRs; 8)
-
-	// TraceBatch is the trace-delivery batch length: how many ops the core
-	// pre-draws from its generator per refill (rounded up to a power of
-	// two; 0 = DefaultTraceBatch). A pure implementation knob — generators
-	// are state machines independent of simulation time, so pre-drawing
-	// cannot change any emitted op, and every value yields bit-identical
-	// simulation results (sim.TestTraceBatchInvariance).
-	TraceBatch int
 }
 
 // Default returns the paper's core configuration for the given core ID.
@@ -72,9 +66,6 @@ func (c Config) Validate() error {
 	if c.Width <= 0 || c.ROB <= 0 || c.MaxOutstanding <= 0 {
 		return fmt.Errorf("cpu: width (%d), ROB (%d) and MaxOutstanding (%d) must be positive",
 			c.Width, c.ROB, c.MaxOutstanding)
-	}
-	if c.TraceBatch < 0 {
-		return fmt.Errorf("cpu: TraceBatch (%d) must be non-negative", c.TraceBatch)
 	}
 	return nil
 }
@@ -118,12 +109,12 @@ type Core struct {
 	rob    uint64
 	maxOut int
 
-	// ops is the trace-delivery ring: a power-of-two batch of pre-drawn
-	// ops, refilled wholesale (outside the step loop) through the
-	// generator's NextBatch fast path when it has one. opNext indexes the
-	// next op to consume; the ring is exhausted when opNext reaches
-	// len(ops). Refills are per-core private work against a buffer
-	// allocated once in New, so the measured loop stays allocation-free.
+	// ops is the trace-delivery ring: DefaultTraceBatch pre-drawn ops,
+	// refilled wholesale (outside the step loop) through the generator's
+	// NextBatch fast path when it has one. opNext indexes the next op to
+	// consume; the ring is exhausted when opNext reaches len(ops). Refills
+	// are per-core private work against a buffer allocated once in New, so
+	// the measured loop stays allocation-free.
 	ops    []trace.Op
 	opNext int
 	// genBatch is gen's BatchGenerator capability, captured once at
@@ -147,11 +138,6 @@ func New(cfg Config, gen trace.Generator, mem MemSystem) *Core {
 		panic("cpu: nil generator or memory system")
 	}
 	ringLen := 1 << bits.Len(uint(cfg.MaxOutstanding-1)) // next power of two
-	batch := cfg.TraceBatch
-	if batch == 0 {
-		batch = DefaultTraceBatch
-	}
-	batch = 1 << bits.Len(uint(batch-1)) // next power of two
 	c := &Core{
 		cfg:      cfg,
 		gen:      gen,
@@ -161,8 +147,8 @@ func New(cfg Config, gen trace.Generator, mem MemSystem) *Core {
 		id:       cfg.ID,
 		rob:      uint64(cfg.ROB),
 		maxOut:   cfg.MaxOutstanding,
-		ops:      make([]trace.Op, batch),
-		opNext:   batch, // empty: first Step refills
+		ops:      make([]trace.Op, DefaultTraceBatch),
+		opNext:   DefaultTraceBatch, // empty: first Step refills
 	}
 	c.genBatch, _ = gen.(trace.BatchGenerator)
 	if w := uint64(cfg.Width); w&(w-1) == 0 {

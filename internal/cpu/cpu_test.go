@@ -209,46 +209,46 @@ func TestIPCDegradesWithMemoryLatency(t *testing.T) {
 	}
 }
 
-// TestTraceBatchInvariantSteps pins the ring contract at the Core level:
-// the (clock, retired, access-issue-time) trajectory is identical for every
-// trace-delivery batch length, because pre-drawing ops cannot change what
-// the generator emits.
-func TestTraceBatchInvariantSteps(t *testing.T) {
-	run := func(batch int) ([]uint64, []uint64) {
-		g := trace.NewWorkingSet(trace.Params{
+// scalarOnly hides a generator's BatchGenerator capability, so the core
+// refills its ring through the scalar-fallback loop of Next calls.
+type scalarOnly struct{ trace.Generator }
+
+// TestBatchedRefillMatchesScalar pins the ring contract at the Core level:
+// refilling through the generator's NextBatch loop and through the scalar
+// fallback of the same generator give the same clock trajectory and the
+// same access-issue times, because NextBatch emits exactly the Next stream.
+func TestBatchedRefillMatchesScalar(t *testing.T) {
+	run := func(scalar bool) ([]uint64, []uint64) {
+		var g trace.Generator = trace.NewWorkingSet(trace.Params{
 			Base: 1 << 30, MemRatio: 0.3, WriteRatio: 0.3, PCBase: 0x400000, Seed: 11,
 		}, 4096, 0.1, 0.7)
+		if scalar {
+			g = scalarOnly{g}
+		} else if _, ok := g.(trace.BatchGenerator); !ok {
+			t.Fatal("working-set generator lost its NextBatch path; the test compares nothing")
+		}
 		mem := &fixedMem{latency: 40}
-		conf := cfg()
-		conf.TraceBatch = batch
-		c := New(conf, g, mem)
+		c := New(cfg(), g, mem)
 		clocks := make([]uint64, 500)
 		for i := range clocks {
 			clocks[i] = c.Step()
 		}
 		return clocks, mem.calls
 	}
-	refClocks, refCalls := run(1)
-	for _, batch := range []int{2, 7, 64, 1024} {
-		clocks, calls := run(batch)
-		for i := range refClocks {
-			if clocks[i] != refClocks[i] {
-				t.Fatalf("batch=%d: clock diverges at step %d (%d vs %d)", batch, i, clocks[i], refClocks[i])
-			}
-		}
-		for i := range refCalls {
-			if calls[i] != refCalls[i] {
-				t.Fatalf("batch=%d: access %d issued at %d, want %d", batch, i, calls[i], refCalls[i])
-			}
+	refClocks, refCalls := run(true)
+	clocks, calls := run(false)
+	for i := range refClocks {
+		if clocks[i] != refClocks[i] {
+			t.Fatalf("clock diverges from the scalar refill at step %d (%d vs %d)", i, clocks[i], refClocks[i])
 		}
 	}
-}
-
-func TestConfigRejectsNegativeTraceBatch(t *testing.T) {
-	c := cfg()
-	c.TraceBatch = -1
-	if err := c.Validate(); err == nil {
-		t.Fatal("negative TraceBatch accepted")
+	if len(calls) != len(refCalls) {
+		t.Fatalf("%d accesses issued, scalar refill issued %d", len(calls), len(refCalls))
+	}
+	for i := range refCalls {
+		if calls[i] != refCalls[i] {
+			t.Fatalf("access %d issued at %d, scalar refill issued it at %d", i, calls[i], refCalls[i])
+		}
 	}
 }
 

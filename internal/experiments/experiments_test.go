@@ -41,10 +41,6 @@ func TestBaseConfigAppliesOptions(t *testing.T) {
 	if cfg.PolicyOpt.AdaptIntervalMisses != 0 {
 		t.Fatal("interval should default to the policy's own rule")
 	}
-	opt.AdaptInterval = 123
-	if opt.baseConfig(16).PolicyOpt.AdaptIntervalMisses != 123 {
-		t.Fatal("explicit AdaptInterval not honoured")
-	}
 }
 
 func TestMixesCapped(t *testing.T) {

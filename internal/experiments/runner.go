@@ -28,24 +28,17 @@ type Options struct {
 	MeasureInstr uint64
 	// Seed drives workload generation and all policy sampling.
 	Seed uint64
-	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
+	// Parallelism caps how many simulations one harness holds in flight
+	// at the shared scheduler (0 = GOMAXPROCS). The scheduler's own pool,
+	// GOMAXPROCS wide, bounds how many execute at once.
 	Parallelism int
-	// AdaptInterval overrides ADAPT's monitoring interval in misses
-	// (0 = proportional default: 4x the LLC block count).
-	AdaptInterval uint64
-	// TraceBatch is the per-core trace-delivery batch length handed to
-	// every machine this harness builds (sim.Config.TraceBatch, 0 = the
-	// cpu.DefaultTraceBatch). Bit-identical across values and excluded
-	// from memoization keys; surfaced as `paperfig -trace-batch` for the
-	// CI determinism legs.
-	TraceBatch int
 	// Sample switches every machine this harness builds to sampled
 	// fidelity (sim.Config.Sample): alternating detailed windows and
-	// functionally-warmed gaps. Unlike TraceBatch this DOES
-	// change results — it trades measurement coverage for speed — so it is
-	// part of the memoization key (via the Config fingerprint) and sampled
-	// runs never alias detailed cache entries. The zero value keeps the
-	// fully-detailed engine.
+	// functionally-warmed gaps. This changes results — it trades
+	// measurement coverage for speed — so it is part of the memoization
+	// key (via the Config fingerprint) and sampled runs never alias
+	// detailed cache entries. The zero value keeps the fully-detailed
+	// engine.
 	Sample sim.SampleConfig
 }
 
@@ -117,11 +110,7 @@ func (o Options) baseConfig(cores int) sim.Config {
 	cfg := sim.Scale(sim.DefaultConfig(cores), o.Scale)
 	cfg.Seed = o.Seed
 	cfg.PolicyOpt.Seed = o.Seed
-	cfg.TraceBatch = o.TraceBatch
 	cfg.Sample = o.Sample
-	if o.AdaptInterval > 0 {
-		cfg.PolicyOpt.AdaptIntervalMisses = o.AdaptInterval
-	}
 	return cfg
 }
 

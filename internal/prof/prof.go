@@ -1,9 +1,9 @@
-// Package prof wires the runtime/pprof CPU and heap profilers behind the
-// -cpuprofile/-memprofile flags of the command-line tools (cmd/paperfig,
-// cmd/classify), mirroring the semantics of `go test`'s flags of the same
-// names: the CPU profile covers the whole run, and the heap profile is a
-// single snapshot taken after a final garbage collection so it reflects
-// live steady-state memory, not transient garbage.
+// Package prof wires the runtime/pprof CPU and heap profilers behind
+// cmd/paperfig's -cpuprofile/-memprofile flags, mirroring the semantics of
+// `go test`'s flags of the same names: the CPU profile covers the whole
+// run, and the heap profile is a single snapshot taken after a final
+// garbage collection so it reflects live steady-state memory, not
+// transient garbage.
 package prof
 
 import (

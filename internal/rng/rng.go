@@ -115,19 +115,6 @@ func Threshold53(p float64) uint64 {
 	return uint64(math.Ceil(p * (1 << 53)))
 }
 
-// Perm returns a random permutation of [0, n) using Fisher-Yates.
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Shuffle permutes the first n elements using swap, as in math/rand.Shuffle.
 func (s *Source) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
@@ -161,19 +148,6 @@ func (s *Source) Sample(n, k int) []int {
 		}
 	}
 	return out
-}
-
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1, via the polar Box-Muller transform.
-func (s *Source) NormFloat64() float64 {
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q > 0 && q < 1 {
-			return u * math.Sqrt(-2*math.Log(q)/q)
-		}
-	}
 }
 
 // Fork returns a new Source whose stream is decorrelated from s. It is used

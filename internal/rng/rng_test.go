@@ -160,23 +160,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := New(5)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := s.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) returned %d elements", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestSampleDistinctSorted(t *testing.T) {
 	s := New(3)
 	for trial := 0; trial < 100; trial++ {
@@ -227,25 +210,6 @@ func TestForkDecorrelated(t *testing.T) {
 	}
 	if same > 0 {
 		t.Fatalf("forked stream collides with parent %d/1000 times", same)
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	s := New(13)
-	const n = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := s.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean %.4f too far from 0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("normal variance %.4f too far from 1", variance)
 	}
 }
 

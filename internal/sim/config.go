@@ -70,16 +70,6 @@ type Config struct {
 	// Seed feeds policy monitor sampling and anything else stochastic.
 	Seed uint64
 
-	// TraceBatch is the per-core trace-delivery batch length (cpu.Config.
-	// TraceBatch): how many ops each core pre-draws from its generator per
-	// ring refill. Zero selects cpu.DefaultTraceBatch. It is a pure
-	// execution knob — generators are state machines independent of
-	// simulation time, so pre-drawing cannot change a single emitted op and
-	// every value yields bit-identical Results (TestTraceBatchInvariance) —
-	// which is why it is excluded from Fingerprint and memoized results are
-	// shared across batch lengths.
-	TraceBatch int `fingerprint:"-"`
-
 	// LLCAccessHook, if set, observes every demand access that reaches the
 	// LLC (used by the Table 4 footprint-measurement harness). It must not
 	// mutate simulator state. Hooks are process-local by nature: they are
@@ -158,9 +148,6 @@ func (c Config) Validate() error {
 	}
 	if c.LLCPolicy == "" || c.L2Policy == "" {
 		return fmt.Errorf("sim: cache policies must be named")
-	}
-	if c.TraceBatch < 0 {
-		return fmt.Errorf("sim: TraceBatch must be non-negative, got %d", c.TraceBatch)
 	}
 	if err := c.Sample.Validate(); err != nil {
 		return err

@@ -25,11 +25,9 @@ const FingerprintSchema = "sim-config/v1"
 // Func-typed fields (observation hooks such as LLCAccessHook) are excluded:
 // hooks must not mutate simulator state, so they cannot change a Result.
 // Callers that rely on hook side effects must not memoize by fingerprint —
-// internal/schedule routes those runs through its uncached path. Fields
-// tagged `fingerprint:"-"` (execution knobs such as TraceBatch) are
-// likewise excluded: they are proven not to change a Result (see
-// TestTraceBatchInvariance), so runs differing only in them share one
-// identity and one memoized result.
+// internal/schedule routes those runs through its uncached path. Config
+// has no field tagged `fingerprint:"-"`; the tag serves Result.Fingerprint,
+// which leaves AppResult.Sampled out (see SampleEstimate).
 func (c Config) Fingerprint() string {
 	h := sha256.New()
 	io.WriteString(h, FingerprintSchema)

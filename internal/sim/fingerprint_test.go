@@ -57,19 +57,6 @@ func TestConfigFingerprintGolden(t *testing.T) {
 	}
 }
 
-// TestFingerprintIgnoresExecutionKnobs pins the memoization contract for
-// the knob that provably cannot change a Result: the trace-delivery batch
-// length. Excluding it lets runs differing only in execution strategy
-// share cached results.
-func TestFingerprintIgnoresExecutionKnobs(t *testing.T) {
-	a := DefaultConfig(2)
-	b := DefaultConfig(2)
-	b.TraceBatch = 512
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("TraceBatch changed the fingerprint; execution knobs must be identity-excluded")
-	}
-}
-
 // TestFingerprintIgnoresHooks pins the contract internal/schedule relies
 // on: observation hooks do not participate in the digest, so hook-carrying
 // configs must never be memoized by fingerprint.

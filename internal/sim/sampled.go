@@ -14,9 +14,9 @@ import (
 // the fine-grained interleaving of detailed timing (a core's reuse window
 // sees foreign insertions in realistic proportion); large quanta let each
 // core stream long private bursts, which flatters its conflict misses.
-// Unlike TraceBatch the quantum is *visible* in results (it changes the
-// order in which cores touch shared cache and policy state), so it
-// participates in the fingerprint and is fixed by default.
+// The quantum is *visible* in results (it changes the order in which cores
+// touch shared cache and policy state), so it participates in the
+// fingerprint and is fixed by default.
 const DefaultSampleQuantum = 256
 
 // DefaultSampleWindows is the window count SampleConfig.Default uses: enough
@@ -209,8 +209,9 @@ func (r *sampleRates) observe(i int, di, dc uint64) {
 // the rates are themselves measured from detailed spans that are already
 // bit-identical across execution knobs — no clocks, no trace-delivery
 // batching — so every shared-state update (LLC policy metadata, SHCT/PSEL
-// counters, cluster epochs) happens in the same global order regardless of
-// Config.TraceBatch and the event-loop batch cap.
+// counters, cluster epochs) happens in the same global order whether the
+// cores refill through NextBatch or scalar Next, and whatever the
+// event-loop batch cap.
 func (s *System) runFunctionalUntil(target, quantum uint64, rates *sampleRates) {
 	for {
 		done := true

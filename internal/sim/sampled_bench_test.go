@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// BenchmarkSamplingFidelity is the sampled-fidelity headline claim, pinned
-// as a CI artifact (BENCH_sampling.txt/json via cmd/benchjson): each
+// BenchmarkSamplingFidelity is the sampled-fidelity headline claim, run
+// once by CI's bench-smoke and uploaded as BENCH_sampling.txt: each
 // iteration runs the 4-core mixA machine at paper-scale budgets twice —
 // fully detailed and sampled at the default geometry — and reports the
 // user-CPU speedup together with the estimator's mean and worst per-app

@@ -74,10 +74,10 @@ func TestSampledGoldenFingerprints(t *testing.T) {
 }
 
 // TestSampledInvariance pins the sampled mode's determinism claim: sampled
-// results are bit-identical across trace-delivery batch lengths and
-// event-loop batch caps — the functional phases are scheduled by
-// retired-instruction counts alone, and the detailed windows inherit the
-// engine's existing invariances.
+// results are bit-identical whether cores refill through NextBatch or
+// scalar Next, and across event-loop batch caps — the functional phases
+// are scheduled by retired-instruction counts alone, and the detailed
+// windows inherit the engine's existing invariances.
 func TestSampledInvariance(t *testing.T) {
 	for _, tc := range sampledGoldenFingerprints {
 		tc := tc
@@ -85,17 +85,15 @@ func TestSampledInvariance(t *testing.T) {
 			t.Parallel()
 			ref := NewFromNames(sampledCorpusConfig(tc), tc.names).Run(20_000, 80_000).Fingerprint()
 			for _, leg := range []struct {
-				label      string
-				traceBatch int
-				maxBatch   int
+				label    string
+				build    func(Config, []string) *System
+				maxBatch int
 			}{
-				{"tracebatch1", 1, 0},
-				{"maxbatch7", 0, 7},
-				{"tracebatch1-maxbatch3", 1, 3},
+				{"scalar", newScalar, 0},
+				{"maxbatch7", NewFromNames, 7},
+				{"scalar-maxbatch3", newScalar, 3},
 			} {
-				cfg := sampledCorpusConfig(tc)
-				cfg.TraceBatch = leg.traceBatch
-				s := NewFromNames(cfg, tc.names)
+				s := leg.build(sampledCorpusConfig(tc), tc.names)
 				s.SetMaxBatch(leg.maxBatch)
 				if got := s.Run(20_000, 80_000).Fingerprint(); got != ref {
 					t.Errorf("%s: sampled result depends on execution knobs:\n got  %s\n want %s", leg.label, got, ref)

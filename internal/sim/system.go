@@ -128,15 +128,20 @@ func New(cfg Config, gens []trace.Generator) *System {
 			Width:          cfg.CPUWidth,
 			ROB:            cfg.CPUROB,
 			MaxOutstanding: cfg.CPUMaxOutstanding,
-			TraceBatch:     cfg.TraceBatch,
 		}, gens[i], p))
 	}
 	return s
 }
 
 // NewFromSpecs builds a system running the named benchmark models, one per
-// core, with disjoint address regions and per-core decorrelated seeds.
+// core.
 func NewFromSpecs(cfg Config, specs []bench.Spec) *System {
+	return New(cfg, specGenerators(cfg, specs))
+}
+
+// specGenerators builds one generator per benchmark model, with disjoint
+// address regions and per-core decorrelated seeds.
+func specGenerators(cfg Config, specs []bench.Spec) []trace.Generator {
 	geom := bench.Geometry{
 		LLCSets:    cfg.LLCSets,
 		L2Blocks:   cfg.L2Sets * cfg.L2Ways,
@@ -146,7 +151,7 @@ func NewFromSpecs(cfg Config, specs []bench.Spec) *System {
 	for i, sp := range specs {
 		gens[i] = sp.Generator(geom, uint64(i+1)<<40, cfg.Seed+uint64(i)*7919)
 	}
-	return New(cfg, gens)
+	return gens
 }
 
 // NewFromNames is NewFromSpecs with benchmark names.
