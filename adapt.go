@@ -90,7 +90,7 @@ func DefaultConfig(cores int) Config { return sim.DefaultConfig(cores) }
 // (256KB LLC), which preserves the sharing behaviour — benchmark working
 // sets are sized in LLC sets, and policy monitor fractions scale with the
 // geometry — at a small fraction of the simulation cost. This is the
-// geometry the experiment harnesses default to.
+// geometry paperfig -tiny runs at.
 func QuickConfig(cores int) Config { return sim.Scale(sim.DefaultConfig(cores), 64) }
 
 // ScaleConfig shrinks a config's caches by the given divisor.

@@ -121,9 +121,6 @@ func New(cfg Config) *VPC {
 	}
 }
 
-// Config returns the arbiter's configuration.
-func (v *VPC) Config() Config { return v.cfg }
-
 // BankOf maps an LLC set index to its bank (low-order set bits).
 func (v *VPC) BankOf(set int) int { return set & (v.cfg.Banks - 1) }
 

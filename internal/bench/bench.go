@@ -91,7 +91,6 @@ const (
 	FamCyclic
 	FamStream
 	FamMixedScan
-	FamZipf
 )
 
 // String implements fmt.Stringer.
@@ -105,8 +104,6 @@ func (f Family) String() string {
 		return "stream"
 	case FamMixedScan:
 		return "mixedscan"
-	case FamZipf:
-		return "zipf"
 	default:
 		return fmt.Sprintf("Family(%d)", uint8(f))
 	}
@@ -201,8 +198,6 @@ func (s Spec) Generator(g Geometry, base uint64, seed uint64) trace.Generator {
 		const scanLen = 16
 		k := s.mixedHotRefs(scanLen)
 		inner = trace.NewMixedScan(p, hot, k, scanLen, scanRegion)
-	case FamZipf:
-		inner = trace.NewZipf(p, ws)
 	default: // FamWorkingSet
 		hotFrac := float64(hot) / float64(ws)
 		if hotFrac > 0.5 {

@@ -116,9 +116,9 @@ type WayMasker interface {
 	SetWayMask(core int, mask uint64)
 }
 
-// Line is one cache block's bookkeeping state as a value — the view returned
-// by LineAt/Invalidate for tests and hierarchy plumbing. The cache itself
-// does not store Lines; state lives in the struct-of-arrays layout.
+// Line is one cache block's bookkeeping state as a value — the view LineAt
+// returns for tests and debugging. The cache itself does not store Lines;
+// state lives in the struct-of-arrays layout.
 // Replacement metadata lives in the policies, not here.
 type Line struct {
 	Tag      uint64
@@ -422,25 +422,6 @@ func (c *Cache) WritebackNoAllocate(a *Access) (hit bool) {
 	}
 	c.stats.Misses[a.Core]++
 	return false
-}
-
-// Invalidate removes block if present and returns its state, notifying the
-// policy. Used by tests and by non-inclusive hierarchy plumbing.
-func (c *Cache) Invalidate(block uint64) (was Line, ok bool) {
-	set, tag := c.SetOf(block), c.TagOf(block)
-	if w := c.findWay(set, tag); w >= 0 {
-		was = c.LineAt(set, w)
-		c.policy.OnEvict(set, w, EvictedLine{Block: block, Core: int(was.Core), Dirty: was.Dirty})
-		i := set*c.ways + w
-		bit := uint64(1) << uint(w)
-		c.tags[i] = 0
-		c.core[i] = 0
-		c.valid[set] &^= bit
-		c.dirty[set] &^= bit
-		c.pref[set] &^= bit
-		return was, true
-	}
-	return Line{}, false
 }
 
 // OccupancyByCore counts valid lines owned by each core. Used by fairness

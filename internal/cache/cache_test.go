@@ -208,22 +208,6 @@ func TestWritebackFillNotPrefetch(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	cfg := testConfig(4, 2, 1)
-	c := New(cfg, newFIFO(cfg.Geometry))
-	c.Access(&Access{Block: 5, Write: true, Demand: true})
-	was, ok := c.Invalidate(5)
-	if !ok || !was.Dirty {
-		t.Fatalf("invalidate should return the dirty line, got %+v ok=%v", was, ok)
-	}
-	if _, ok := c.Lookup(5); ok {
-		t.Fatal("line still present after invalidate")
-	}
-	if _, ok := c.Invalidate(5); ok {
-		t.Fatal("second invalidate should miss")
-	}
-}
-
 func TestCallbackOrderOnMissWithEviction(t *testing.T) {
 	cfg := testConfig(1, 1, 1)
 	p := newFIFO(cfg.Geometry)

@@ -62,9 +62,6 @@ func NewEngine(g Geometry) Engine {
 
 func (e *Engine) idx(set, way int) int { return set*e.geom.Ways + way }
 
-// Geometry returns the geometry the engine was built for.
-func (e *Engine) Geometry() Geometry { return e.geom }
-
 // Promote sets the line to near-immediate re-reference (RRPV 0). The set's
 // max-RRPV hint is left alone: it is an upper bound, and lowering one value
 // cannot raise the maximum.

@@ -56,11 +56,6 @@ type Config struct {
 	MaxOutstanding int // simultaneous incomplete loads (L1 MSHRs; 8)
 }
 
-// Default returns the paper's core configuration for the given core ID.
-func Default(id int) Config {
-	return Config{ID: id, Width: 4, ROB: 128, MaxOutstanding: 8}
-}
-
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	if c.Width <= 0 || c.ROB <= 0 || c.MaxOutstanding <= 0 {
@@ -124,8 +119,6 @@ type Core struct {
 
 	// Stats.
 	memAccesses uint64
-	loadIssued  uint64
-	storeCount  uint64
 	stallCycles uint64
 }
 
@@ -173,9 +166,6 @@ func (c *Core) pushLoad(e inflight) {
 	c.loads[(c.loadHead+c.loadCount)&c.loadMask] = e
 	c.loadCount++
 }
-
-// ID returns the core's identifier.
-func (c *Core) ID() int { return c.cfg.ID }
 
 // Clock returns the core's local cycle count.
 func (c *Core) Clock() uint64 { return c.clock }
@@ -261,10 +251,7 @@ func (c *Core) Step() uint64 {
 
 	done := c.mem.Access(c.id, c.clock, op.Addr, op.Write, op.PC)
 	c.memAccesses++
-	if op.Write {
-		c.storeCount++
-	} else {
-		c.loadIssued++
+	if !op.Write {
 		c.pushLoad(inflight{instr: c.retired, done: done})
 	}
 	c.advance(1) // the memory instruction itself
@@ -347,8 +334,6 @@ func (c *Core) Drain() uint64 {
 func (c *Core) ResetStats() {
 	c.retired = 0
 	c.memAccesses = 0
-	c.loadIssued = 0
-	c.storeCount = 0
 	c.stallCycles = 0
 	for i := range c.loads {
 		c.loads[i].instr = 0

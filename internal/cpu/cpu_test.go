@@ -32,7 +32,7 @@ func (m *fixedMem) Access(core int, now uint64, addr uint64, write bool, pc uint
 func cfg() Config { return Config{ID: 0, Width: 4, ROB: 128, MaxOutstanding: 8} }
 
 func TestConfigValidate(t *testing.T) {
-	if err := Default(3).Validate(); err != nil {
+	if err := cfg().Validate(); err != nil {
 		t.Fatalf("default invalid: %v", err)
 	}
 	for _, c := range []Config{

@@ -24,9 +24,6 @@ func TestOptionsPresets(t *testing.T) {
 	if p := Paper(); p.Scale != 1 || p.MaxWorkloads != 0 {
 		t.Fatal("Paper() should be full fidelity")
 	}
-	if q := Quick(); q.Scale <= 1 {
-		t.Fatal("Quick() should scale the caches down")
-	}
 	if ti := Tiny(); ti.MaxWorkloads == 0 {
 		t.Fatal("Tiny() should cap workloads")
 	}

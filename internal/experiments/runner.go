@@ -8,6 +8,7 @@ package experiments
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bench"
 	"repro/internal/metrics"
@@ -48,22 +49,6 @@ func Paper() Options {
 	return Options{Scale: 1, WarmupInstr: 2_000_000, MeasureInstr: 10_000_000, Seed: 42}
 }
 
-// Quick returns the default options of cmd/paperfig: 64x-scaled caches
-// (256KB LLC) and reduced instruction budgets — minutes, not hours, with
-// the same shapes. The scale/budget pairing matters: a thrashing
-// application needs roughly 24 x LLC-sets of its own accesses before its
-// footprint is observable, so smaller caches need proportionally less
-// instruction budget to classify correctly.
-func Quick() Options {
-	return Options{
-		Scale:        64,
-		MaxWorkloads: 20,
-		WarmupInstr:  200_000,
-		MeasureInstr: 800_000,
-		Seed:         42,
-	}
-}
-
 // Tiny returns options small enough for unit tests and testing.B benches.
 func Tiny() Options {
 	return Options{
@@ -82,19 +67,38 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forEach runs fn(i) for i in [0, n) with at most workers() concurrent
-// submissions. Execution itself is bounded (and deduplicated) by the
-// scheduler's pool; this only caps how many jobs a single harness holds
-// in flight, honouring Options.Parallelism.
+// forEach runs fn(i) for i in [0, n) on at most workers() goroutines.
+// For scheduler jobs, execution itself is bounded (and deduplicated) by
+// the scheduler's pool, and this only caps how many jobs a single harness
+// holds in flight, honouring Options.Parallelism.
+//
+// A panic in fn does not escape its worker goroutine, where no caller
+// could recover it (paperfigd recovers per request, on the handler
+// goroutine). The workers skip the indices still queued, and forEach
+// re-panics the first recovered value on the calling goroutine once every
+// worker has stopped.
 func (o Options) forEach(n int, fn func(i int)) {
 	jobs := make(chan int)
-	var wg sync.WaitGroup
+	var (
+		wg    sync.WaitGroup
+		fault atomic.Pointer[any] // first panic recovered from fn
+	)
+	call := func(i int) {
+		defer func() {
+			if p := recover(); p != nil {
+				fault.CompareAndSwap(nil, &p)
+			}
+		}()
+		fn(i)
+	}
 	for w := 0; w < o.workers(); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				fn(i)
+				if fault.Load() == nil {
+					call(i)
+				}
 			}
 		}()
 	}
@@ -103,6 +107,9 @@ func (o Options) forEach(n int, fn func(i int)) {
 	}
 	close(jobs)
 	wg.Wait()
+	if p := fault.Load(); p != nil {
+		panic(*p)
+	}
 }
 
 // baseConfig builds the machine for a core count under these options.

@@ -3,7 +3,7 @@ package experiments
 import (
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/schedule"
+	"repro/internal/sim"
 )
 
 // Table4Row is one benchmark's measured characterisation, mirroring the
@@ -27,15 +27,16 @@ type Table4Row struct {
 // The footprint is measured over the whole measurement window (the paper
 // measures per 1M-miss interval of the solo run; scaled runs use the window
 // as the interval).
+//
+// Each solo machine is built here rather than submitted to the scheduler:
+// the samplers are the row's real output, and a memoized Result would skip
+// them. These runs therefore take no scheduler pool slot and never appear
+// in its stats; Options.Parallelism alone bounds them.
 func Table4(opt Options) []Table4Row {
-	return table4With(opt, schedule.Shared())
-}
-
-func table4With(opt Options, sched *schedule.Scheduler) []Table4Row {
 	specs := bench.All()
 	rows := make([]Table4Row, len(specs))
 	opt.forEach(len(specs), func(i int) {
-		rows[i] = measureOne(opt, sched, specs[i])
+		rows[i] = measureOne(opt, specs[i])
 	})
 	return rows
 }
@@ -70,7 +71,7 @@ func soloBudget(opt Options, spec bench.Spec, llcSets int) uint64 {
 	return need
 }
 
-func measureOne(opt Options, sched *schedule.Scheduler, spec bench.Spec) Table4Row {
+func measureOne(opt Options, spec bench.Spec) Table4Row {
 	cfg := opt.soloConfig()
 
 	all := core.NewSampler(core.SamplerConfig{
@@ -81,22 +82,17 @@ func measureOne(opt Options, sched *schedule.Scheduler, spec bench.Spec) Table4R
 		Sets: cfg.LLCSets, Cores: 1, MonitoredSets: core.DefaultMonitoredSets,
 		ArrayEntries: core.DefaultArrayEntries, Seed: opt.Seed,
 	})
-	cfg.LLCAccessHook = func(c, set int, block uint64) {
+	sys := sim.NewFromNames(cfg, []string{spec.Name})
+	sys.ObserveLLC(func(_, set int, block uint64) {
 		all.Observe(0, set, block)
 		samp.Observe(0, set, block)
-	}
+	})
 
 	// The footprint interval is the whole run (warm-up included), exactly
 	// like one solo interval of the paper's Table 4 measurement; the budget
 	// adapts to the benchmark's intensity so light applications get the
-	// longer windows they need. The run goes through the scheduler's
-	// uncached path: its real output escapes via the samplers on
-	// LLCAccessHook, so a memoized Result would skip the measurement.
-	res := sched.RunUncached(schedule.Job{
-		Config:  cfg,
-		Names:   []string{spec.Name},
-		Measure: opt.WarmupInstr + soloBudget(opt, spec, cfg.LLCSets),
-	})
+	// longer windows they need.
+	res := sys.Run(0, opt.WarmupInstr+soloBudget(opt, spec, cfg.LLCSets))
 
 	row := Table4Row{
 		Name:    spec.Name,

@@ -42,11 +42,6 @@ func (s *Source) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Uint32 returns the next 32 uniformly distributed bits.
-func (s *Source) Uint32() uint32 {
-	return uint32(s.Uint64() >> 32)
-}
-
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.
 func (s *Source) Intn(n int) int {
 	if n <= 0 {

@@ -23,10 +23,6 @@
 // caller on the key re-panics with, never a wedged key or a leaked pool
 // slot, so internal/serve can contain one bad request inside the
 // long-lived paperfigd server.
-//
-// Runs whose value lives outside the sim.Result — e.g. Table 4's
-// footprint-sampler hooks — use RunUncached, which still shares the pool
-// but never memoizes or dedups (two hook-carrying jobs need two runs).
 package schedule
 
 import (
@@ -110,17 +106,15 @@ func (j Job) run() sim.Result {
 // Stats counts scheduler traffic. Hits()>0 across two harnesses proves the
 // grids overlap and the dedup machinery is earning its keep.
 type Stats struct {
-	// Submitted counts every Run/RunUncached call.
+	// Submitted counts every Run call.
 	Submitted uint64 `json:"submitted"`
-	// Executed counts jobs that actually simulated (cacheable path).
+	// Executed counts jobs that actually simulated.
 	Executed uint64 `json:"executed"`
 	// MemHits / DiskHits count store hits per tier.
 	MemHits  uint64 `json:"mem_hits"`
 	DiskHits uint64 `json:"disk_hits"`
 	// Shared counts callers that joined another caller's in-flight run.
 	Shared uint64 `json:"shared"`
-	// Uncached counts RunUncached executions (hook-instrumented jobs).
-	Uncached uint64 `json:"uncached"`
 	// DiskErrors counts disk-tier reads/writes that failed and were
 	// treated as misses (the cache is best-effort).
 	DiskErrors uint64 `json:"disk_errors"`
@@ -134,8 +128,8 @@ func (s Stats) Hits() uint64 { return s.MemHits + s.DiskHits + s.Shared }
 
 // String renders a one-line summary for logs.
 func (s Stats) String() string {
-	out := fmt.Sprintf("submitted=%d executed=%d uncached=%d mem-hits=%d disk-hits=%d shared=%d",
-		s.Submitted, s.Executed, s.Uncached, s.MemHits, s.DiskHits, s.Shared)
+	out := fmt.Sprintf("submitted=%d executed=%d mem-hits=%d disk-hits=%d shared=%d",
+		s.Submitted, s.Executed, s.MemHits, s.DiskHits, s.Shared)
 	if s.DiskErrors > 0 {
 		out += fmt.Sprintf(" disk-errors=%d", s.DiskErrors)
 	}
@@ -442,22 +436,6 @@ func (s *Scheduler) execute(key string, j Job) (res sim.Result, err error) {
 	fn := s.runFn
 	s.mu.Unlock()
 	return fn(j), nil
-}
-
-// RunUncached executes the job through the worker pool without touching
-// the store or the singleflight table. It exists for jobs whose outputs
-// escape through config hooks: memoizing them would return a Result while
-// silently skipping the side effects the caller actually wants. A
-// panicking job releases its pool slot, is counted in Stats.Panics, and
-// re-panics as *PanicError on the caller's goroutine.
-func (s *Scheduler) RunUncached(j Job) sim.Result {
-	s.count(func(st *Stats) { st.Submitted++; st.Uncached++ })
-	res, err := s.execute(j.Key(), j)
-	if err != nil {
-		s.count(func(st *Stats) { st.Panics++ })
-		panic(err)
-	}
-	return res
 }
 
 // settle publishes a finished flight: store the result (success only),

@@ -149,30 +149,6 @@ func TestDistinctJobsDoNotShare(t *testing.T) {
 	}
 }
 
-func TestRunUncachedNeverMemoizes(t *testing.T) {
-	s := New(2)
-	var executions atomic.Uint64
-	s.runFn = func(j Job) sim.Result {
-		executions.Add(1)
-		return fakeRun(1)(j)
-	}
-	j := testJob(1)
-	s.RunUncached(j)
-	s.RunUncached(j)
-	if executions.Load() != 2 {
-		t.Fatalf("uncached executed %d times, want 2", executions.Load())
-	}
-	st := s.Stats()
-	if st.Uncached != 2 || st.Executed != 0 || st.Hits() != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// An uncached run must not seed the memo for cached callers.
-	s.Run(j)
-	if s.Stats().Executed != 1 {
-		t.Fatal("cached path should have executed after uncached runs")
-	}
-}
-
 func TestDiskCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	j := testJob(1)
@@ -455,34 +431,6 @@ func TestRunRepanicsOnPanickedJob(t *testing.T) {
 	s.Run(testJob(1))
 }
 
-// TestRunUncachedReleasesWidthOnPanic: the uncached path must also return
-// its slot and count the panic. The pool has one slot, so a leak wedges
-// the follow-up run.
-func TestRunUncachedReleasesWidthOnPanic(t *testing.T) {
-	s := New(1)
-	s.runFn = func(j Job) sim.Result { panic("boom") }
-	j := testJob(1)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("RunUncached did not re-panic")
-			}
-		}()
-		s.RunUncached(j)
-	}()
-	if st := s.Stats(); st.Panics != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	s.runFn = fakeRun(5)
-	done := make(chan struct{})
-	go func() { s.RunUncached(j); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("pool slot leaked on uncached panic")
-	}
-}
-
 // TestDiskWriteFailureNotIndexed is the regression test for the
 // serve-a-phantom bug: when the segment append fails, the entry must NOT
 // land in the disk index (the process would serve a result it believes is
@@ -555,7 +503,7 @@ func TestSetPoolSize(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s.RunUncached(testJob(uint64(200 + i)))
+			s.Run(testJob(uint64(200 + i)))
 		}(i)
 	}
 	wg.Wait()

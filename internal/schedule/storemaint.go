@@ -80,7 +80,7 @@ func MaintainStore(root string, maxBytes int64) (StoreReport, error) {
 		return rep, fmt.Errorf("schedule: maintain store: %w", err)
 	}
 	sort.Strings(segs)
-	rep.BytesBefore = storeBytes(segs)
+	rep.BytesBefore = StoreBytes(root)
 
 	// Pass 2: compact duplicate-key and unusable lines per segment.
 	for _, path := range segs {
@@ -124,15 +124,18 @@ func MaintainStore(root string, maxBytes int64) (StoreReport, error) {
 		}
 	}
 
-	segs, _ = filepath.Glob(filepath.Join(dir, "*.seg"))
-	rep.BytesAfter = storeBytes(segs)
+	rep.BytesAfter = StoreBytes(root)
 	return rep, nil
 }
 
-// storeBytes sums the sizes of the given files.
-func storeBytes(paths []string) int64 {
+// StoreBytes returns the size on disk of the current-schema segment files
+// under a cache root (the directory handed to SetCacheDir). Segments of
+// other schemas, and files outside the current schema's directory, do not
+// count.
+func StoreBytes(root string) int64 {
+	segs, _ := filepath.Glob(filepath.Join(root, schemaSlug(), "*.seg"))
 	var n int64
-	for _, p := range paths {
+	for _, p := range segs {
 		if st, err := os.Stat(p); err == nil {
 			n += st.Size()
 		}

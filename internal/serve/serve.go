@@ -27,8 +27,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"os"
-	"path/filepath"
 	"runtime/debug"
 	"sync/atomic"
 	"time"
@@ -40,6 +38,10 @@ import (
 // DefaultStoreMaxBytes caps the on-disk segment store at 2 GiB unless the
 // server is configured otherwise.
 const DefaultStoreMaxBytes int64 = 2 << 30
+
+// maxBodyBytes bounds request bodies: an experiments.Request is a few
+// hundred bytes of JSON.
+const maxBodyBytes = 1 << 20
 
 // Config parameterises a Server.
 type Config struct {
@@ -56,8 +58,6 @@ type Config struct {
 	// StoreMaxBytes caps the store size at the startup maintenance pass
 	// (0 = DefaultStoreMaxBytes, negative = uncapped).
 	StoreMaxBytes int64
-	// MaxBodyBytes bounds request bodies (0 = 1 MiB).
-	MaxBodyBytes int64
 	// Log receives request and maintenance logs; nil discards them.
 	Log *log.Logger
 }
@@ -83,9 +83,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.StoreMaxBytes == 0 {
 		cfg.StoreMaxBytes = DefaultStoreMaxBytes
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
 	}
 	if cfg.Log == nil {
 		cfg.Log = log.New(io.Discard, "", 0)
@@ -148,7 +145,7 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req experiments.Request
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		s.fail(w, http.StatusBadRequest, "decode request: "+err.Error())
 		return
 	}
@@ -255,7 +252,7 @@ func (s *Server) Snapshot() Statsz {
 	if s.cfg.CacheDir != "" {
 		st.Store = StoreStats{
 			Dir:      s.cfg.CacheDir,
-			Bytes:    storeSize(s.cfg.CacheDir),
+			Bytes:    schedule.StoreBytes(s.cfg.CacheDir),
 			MaxBytes: s.cfg.StoreMaxBytes,
 		}
 	}
@@ -286,7 +283,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("scheduler_mem_hits_total", sc.MemHits, "in-memory tier hits")
 	counter("scheduler_disk_hits_total", sc.DiskHits, "disk tier hits")
 	counter("scheduler_shared_total", sc.Shared, "callers that joined an in-flight execution")
-	counter("scheduler_uncached_total", sc.Uncached, "uncached (hook-instrumented) executions")
 	counter("scheduler_disk_errors_total", sc.DiskErrors, "disk tier reads/writes treated as misses")
 	counter("scheduler_panics_total", sc.Panics, "jobs whose execution panicked")
 	gauge("scheduler_inflight_flights", int64(g.InflightFlights), "singleflight keys executing now")
@@ -306,16 +302,4 @@ func (s *Server) fail(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})
-}
-
-// storeSize sums the current-schema segment files under root.
-func storeSize(root string) int64 {
-	var n int64
-	matches, _ := filepath.Glob(filepath.Join(root, "*", "*.seg"))
-	for _, p := range matches {
-		if st, err := os.Stat(p); err == nil {
-			n += st.Size()
-		}
-	}
-	return n
 }

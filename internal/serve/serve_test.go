@@ -165,7 +165,6 @@ func TestStatszAndMetrics(t *testing.T) {
 		"paperfigd_scheduler_mem_hits_total":    "1",
 		"paperfigd_scheduler_disk_hits_total":   "0",
 		"paperfigd_scheduler_shared_total":      "0",
-		"paperfigd_scheduler_uncached_total":    "0",
 		"paperfigd_scheduler_disk_errors_total": "0",
 		"paperfigd_scheduler_panics_total":      "0",
 		"paperfigd_scheduler_inflight_flights":  "0",
@@ -224,5 +223,56 @@ func TestStartupMaintenanceKeepsEntries(t *testing.T) {
 	}
 	if st := sched.Stats(); st.DiskHits != 1 || st.Executed != 0 {
 		t.Fatalf("stats = %s, want one disk hit", st)
+	}
+}
+
+// TestHarnessPanicEndsStream: a harness that panics on one of its worker
+// goroutines must end its own stream with an error frame and leave the
+// server serving. At cache scale 3 the LLC has 5461 sets, which is not a
+// power of two: Table 4's footprint samplers reject it, and so does every
+// figure job inside the scheduler.
+func TestHarnessPanicEndsStream(t *testing.T) {
+	hs := newTestServer(t, schedule.New(1))
+	client := &Client{BaseURL: hs.URL}
+	ignore := func(experiments.Table) error { return nil }
+	opt := experiments.Tiny()
+	opt.Scale = 3
+	for _, req := range []experiments.Request{{Table: 4, Opt: opt}, {Fig: 1, Opt: opt}} {
+		_, err := client.StreamTables(context.Background(), req, ignore)
+		if err == nil || !strings.Contains(err.Error(), "experiment panicked") {
+			t.Fatalf("%s: err = %v, want an error frame carrying the panic", req.Name(), err)
+		}
+	}
+	sum, err := client.StreamTables(context.Background(), experiments.Request{Table: 2, Opt: experiments.Tiny()}, ignore)
+	if err != nil || sum == nil || sum.Tables != 1 {
+		t.Fatalf("table 2 after the panics: summary %+v, err %v", sum, err)
+	}
+}
+
+// TestStoreBytesCountsCurrentSchemaOnly: the store size in /statsz (and
+// /metrics) counts current-schema segments only. A segment written under
+// another schema directory after startup maintenance does not count.
+func TestStoreBytesCountsCurrentSchemaOnly(t *testing.T) {
+	dir := t.TempDir()
+	sched := schedule.New(1)
+	sched.SetRunFn(stubResult)
+	srv, err := New(Config{Scheduler: sched, CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched.Run(stubJob(1))
+	before := srv.Snapshot().Store.Bytes
+	if before == 0 {
+		t.Fatal("the executed job left no bytes in the store")
+	}
+	other := filepath.Join(dir, "job-v0+other-schema")
+	if err := os.MkdirAll(other, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(other, "misc.seg"), bytes.Repeat([]byte("x"), 100), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Snapshot().Store.Bytes; got != before {
+		t.Fatalf("store bytes = %d after another schema's segment appeared, want %d", got, before)
 	}
 }

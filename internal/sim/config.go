@@ -69,14 +69,6 @@ type Config struct {
 
 	// Seed feeds policy monitor sampling and anything else stochastic.
 	Seed uint64
-
-	// LLCAccessHook, if set, observes every demand access that reaches the
-	// LLC (used by the Table 4 footprint-measurement harness). It must not
-	// mutate simulator state. Hooks are process-local by nature: they are
-	// excluded from the fingerprint (func fields always are) and from the
-	// JSON form (encoding/json rejects func fields), and hook-carrying jobs
-	// must use the scheduler's uncached path.
-	LLCAccessHook func(core, set int, block uint64) `json:"-"`
 }
 
 // DefaultConfig returns the paper's Table 3 machine for a core count.

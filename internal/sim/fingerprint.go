@@ -22,12 +22,9 @@ const FingerprintSchema = "sim-config/v1"
 // produce identical simulations for the same workload, because the machine
 // is deterministic in its Config (see the package comment).
 //
-// Func-typed fields (observation hooks such as LLCAccessHook) are excluded:
-// hooks must not mutate simulator state, so they cannot change a Result.
-// Callers that rely on hook side effects must not memoize by fingerprint —
-// internal/schedule routes those runs through its uncached path. Config
-// has no field tagged `fingerprint:"-"`; the tag serves Result.Fingerprint,
-// which leaves AppResult.Sampled out (see SampleEstimate).
+// Config has no field tagged `fingerprint:"-"`; the tag serves
+// Result.Fingerprint, which leaves AppResult.Sampled out (see
+// SampleEstimate).
 func (c Config) Fingerprint() string {
 	h := sha256.New()
 	io.WriteString(h, FingerprintSchema)
@@ -62,7 +59,7 @@ func fingerprintValue(w io.Writer, v reflect.Value) {
 		io.WriteString(w, "{")
 		for i := 0; i < v.NumField(); i++ {
 			f := t.Field(i)
-			if f.Type.Kind() == reflect.Func || f.Tag.Get("fingerprint") == "-" {
+			if f.Tag.Get("fingerprint") == "-" {
 				continue
 			}
 			io.WriteString(w, "|"+f.Name+"=")

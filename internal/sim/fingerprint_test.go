@@ -57,18 +57,6 @@ func TestConfigFingerprintGolden(t *testing.T) {
 	}
 }
 
-// TestFingerprintIgnoresHooks pins the contract internal/schedule relies
-// on: observation hooks do not participate in the digest, so hook-carrying
-// configs must never be memoized by fingerprint.
-func TestFingerprintIgnoresHooks(t *testing.T) {
-	a := DefaultConfig(2)
-	b := DefaultConfig(2)
-	b.LLCAccessHook = func(core, set int, block uint64) {}
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("hook presence changed the fingerprint")
-	}
-}
-
 // TestFingerprintForcedBRRIPLength distinguishes an absent mask from an
 // all-false mask and masks of different lengths (slice length is encoded).
 func TestFingerprintForcedBRRIPLength(t *testing.T) {

@@ -253,49 +253,141 @@ func (s *System) runUntilRetired(target uint64, freezeCycles, freezeInstr []uint
 }
 
 // Run simulates warmup instructions per application (policy and cache state
-// learn, statistics discarded) followed by a measured window of measure
-// instructions per application, and returns the per-application results.
-// Applications that reach their measurement target keep executing until the
-// last one finishes, exactly as the paper re-executes finished applications
-// to preserve contention.
+// learn, statistics discarded), then measures measure instructions per
+// application and returns the per-application results. Applications that
+// reach their measurement target keep executing until the last one
+// finishes, exactly as the paper re-executes finished applications to
+// preserve contention.
 //
-// When Config.Sample selects sampled fidelity, Run instead estimates the
-// same quantities from periodic detailed windows separated by functional-
-// warming gaps (see SampleConfig and runSampled); the budgets keep their
-// meaning — warmup instructions warmed, measure instructions covered — but
-// only the detailed windows are measured.
+// The measured budget runs as the windows of SampleConfig.plan, each a
+// functional-warming gap, a detailed re-warm and a measured detailed span.
+// A fully-detailed config is the one-window plan with no gap and no
+// re-warm, so its one window is the whole budget. Under Config.Sample the
+// warm-up opens with a short detailed pilot span (seeding the per-core
+// retirement-rate estimates that schedule functional interleaving) and
+// warms the rest functionally, and every measured window re-estimates each
+// core's rate; the budgets keep their meaning, but only the detailed
+// windows are measured.
+//
+// Per-app IPC and MPKI are ratios over the union of measured windows, and
+// Instructions, Cycles and the LLC demand counters sum them. Arbiter wait
+// statistics and DRAM diagnostics accumulate over every detailed phase after
+// the warm-up boundary (re-warm and measured); the functional gaps never
+// touch arbiter or DRAM state. Sampled runs also carry per-window confidence
+// diagnostics in AppResult.Sampled.
 func (s *System) Run(warmup, measure uint64) Result {
-	if s.cfg.Sample.Enabled() {
-		return s.runSampled(warmup, measure)
-	}
-	if warmup > 0 {
+	sampled := s.cfg.Sample.Enabled()
+	p := s.cfg.Sample.plan(measure)
+	n := len(s.cores)
+	rates := newSampleRates(n)
+	switch {
+	case warmup == 0:
+	case sampled:
+		pilotC := make([]uint64, n)
+		pilotI := make([]uint64, n)
+		s.runUntilRetired(min(p.detail, warmup), pilotC, pilotI)
+		for i := 0; i < n; i++ {
+			rates.observe(i, pilotI[i], pilotC[i])
+		}
+		s.runFunctionalUntil(warmup, p.quantum, rates)
+	default:
 		s.runUntilRetired(warmup, nil, nil)
 	}
-	startCycles := s.resetAtWarmBoundary()
+	s.resetAtWarmBoundary()
 
-	freezeCycles := make([]uint64, len(s.cores))
-	freezeInstr := make([]uint64, len(s.cores))
-	s.runUntilRetired(measure, freezeCycles, freezeInstr)
+	windows := int(p.windows)
+	var (
+		instrSum = make([]uint64, n)
+		cycleSum = make([]uint64, n)
+		accSum   = make([]uint64, n)
+		missSum  = make([]uint64, n)
+		bypSum   = make([]uint64, n)
 
-	res := Result{Apps: make([]AppResult, len(s.cores))}
+		ipcW = make([][]float64, n)
+		l2W  = make([][]float64, n)
+		llcW = make([][]float64, n)
+
+		startC = make([]uint64, n)
+		startI = make([]uint64, n)
+		endC   = make([]uint64, n)
+		endI   = make([]uint64, n)
+		accA   = make([]uint64, n)
+		missA  = make([]uint64, n)
+		bypA   = make([]uint64, n)
+	)
+
 	llcStats := s.sub.llc.Stats()
-	for i := range s.cores {
-		cycles := freezeCycles[i] - startCycles[i]
-		instr := freezeInstr[i] // retired count at the freeze point
+	for w := 0; w < windows; w++ {
+		windowEnd := p.windowEnd(w)
+		warmTarget := windowEnd - p.detail
+		gapTarget := warmTarget - p.warm
+
+		// Functional gap, then detailed timing re-warm. The re-warm run
+		// records each core's (clock, retired) at its warm-target crossing:
+		// that is the measured window's start point, as the window run
+		// below freezes each core's end point at its own crossing. In the
+		// one-window plan both targets are 0 right after the warm-up reset,
+		// so neither call runs anything.
+		s.runFunctionalUntil(gapTarget, p.quantum, rates)
+		s.runUntilRetired(warmTarget, startC, startI)
+		for i := 0; i < n; i++ {
+			accA[i] = llcStats.DemandAccesses[i]
+			missA[i] = llcStats.DemandMisses[i]
+			bypA[i] = llcStats.Bypasses[i]
+		}
+
+		s.runUntilRetired(windowEnd, endC, endI)
+		for i := 0; i < n; i++ {
+			di := endI[i] - startI[i]
+			dc := endC[i] - startC[i]
+			rates.observe(i, di, dc)
+			instrSum[i] += di
+			cycleSum[i] += dc
+			da := llcStats.DemandAccesses[i] - accA[i]
+			dm := llcStats.DemandMisses[i] - missA[i]
+			accSum[i] += da
+			missSum[i] += dm
+			bypSum[i] += llcStats.Bypasses[i] - bypA[i]
+			if dc > 0 {
+				ipcW[i] = append(ipcW[i], float64(di)/float64(dc))
+			}
+			l2W[i] = append(l2W[i], metrics.MPKI(da, di))
+			llcW[i] = append(llcW[i], metrics.MPKI(dm, di))
+		}
+	}
+
+	res := Result{Apps: make([]AppResult, n)}
+	for i := 0; i < n; i++ {
+		// Point estimates are ratios over the union of measured windows
+		// (Σinstr/Σcycles, Σmisses/Σinstr). Averaging per-window IPCs
+		// instead would overestimate any app whose speed varies across
+		// windows (the arithmetic mean of rates exceeds the cycle-weighted
+		// rate); the per-window samples feed only the confidence
+		// diagnostics in Sampled.
 		app := AppResult{
-			Instructions:      instr,
-			Cycles:            cycles,
-			LLCDemandAccesses: llcStats.DemandAccesses[i],
-			LLCDemandMisses:   llcStats.DemandMisses[i],
-			LLCBypasses:       llcStats.Bypasses[i],
+			Instructions:      instrSum[i],
+			Cycles:            cycleSum[i],
+			L2MPKI:            metrics.MPKI(accSum[i], instrSum[i]),
+			LLCMPKI:           metrics.MPKI(missSum[i], instrSum[i]),
+			LLCDemandAccesses: accSum[i],
+			LLCDemandMisses:   missSum[i],
+			LLCBypasses:       bypSum[i],
 			ArbiterMeanWait:   s.sub.arb.MeanWait(i),
 			ArbiterWaitHist:   s.sub.arb.WaitHistOf(i),
 		}
-		if cycles > 0 {
-			app.IPC = float64(instr) / float64(cycles)
+		if cycleSum[i] > 0 {
+			app.IPC = float64(instrSum[i]) / float64(cycleSum[i])
 		}
-		app.L2MPKI = metrics.MPKI(llcStats.DemandAccesses[i], instr)
-		app.LLCMPKI = metrics.MPKI(llcStats.DemandMisses[i], instr)
+		if sampled {
+			ipcInt := metrics.MeanInterval(ipcW[i])
+			app.Sampled = SampleEstimate{
+				Windows:   windows,
+				IPCCI:     ipcInt.CI,
+				IPCCV:     ipcInt.CV,
+				L2MPKICI:  metrics.MeanInterval(l2W[i]).CI,
+				LLCMPKICI: metrics.MeanInterval(llcW[i]).CI,
+			}
+		}
 		if m := s.sub.cluster; m != nil {
 			app.Cluster = m.Classes()[i].String()
 			app.ClusterWays = m.WaysOf(i)
@@ -309,18 +401,15 @@ func (s *System) Run(warmup, measure uint64) Result {
 
 // resetAtWarmBoundary resets statistics at the warm-up boundary;
 // microarchitectural state (cache contents, policy learning, bank timelines
-// and open rows, in-flight misses) carries over. Returns the per-core clock
-// snapshots taken after the reset (the measured window's cycle origin).
-func (s *System) resetAtWarmBoundary() []uint64 {
-	startCycles := make([]uint64, len(s.cores))
+// and open rows, in-flight misses) carries over. Core clocks keep running:
+// each measured window takes its cycle origin from its own start point.
+func (s *System) resetAtWarmBoundary() {
 	for i, c := range s.cores {
 		c.ResetStats()
-		startCycles[i] = c.Clock()
 		s.paths[i].l1.Stats().Reset()
 		s.paths[i].l2.Stats().Reset()
 	}
 	s.sub.llc.Stats().Reset()
 	s.sub.dram.ResetStats()
 	s.sub.arb.ResetStats()
-	return startCycles
 }

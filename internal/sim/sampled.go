@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"repro/internal/metrics"
-)
+import "fmt"
 
 // DefaultSampleQuantum is the functional-warming virtual-cycle quantum when
 // SampleConfig.QuantumCycles is zero. Each round-robin pass advances every
@@ -81,9 +77,9 @@ func (sc SampleConfig) Validate() error {
 }
 
 // samplePlan is the resolved per-window instruction layout for one measured
-// budget: Windows windows, each ending at windowEnd(w) cumulative retired
+// budget: windows windows, each ending at windowEnd(w) cumulative retired
 // instructions, laid out gap | warm | detail back to front inside the
-// window.
+// window. System.Run drives every run through one.
 type samplePlan struct {
 	windows uint64
 	measure uint64
@@ -92,10 +88,16 @@ type samplePlan struct {
 	quantum uint64
 }
 
-// plan resolves the sampling layout for a measured budget, deriving
-// defaults and validating feasibility. It panics on an infeasible explicit
-// configuration, matching New's loud-failure convention for bad configs.
+// plan resolves the window layout for a measured budget. With sampling off
+// it is the one-window plan: the whole budget is one measured detailed
+// span, with no functional gap and no re-warm. With sampling on it derives
+// the window defaults and validates feasibility, panicking on an
+// infeasible explicit configuration (New's loud-failure convention for bad
+// configs).
 func (sc SampleConfig) plan(measure uint64) samplePlan {
+	if !sc.Enabled() {
+		return samplePlan{windows: 1, measure: measure, detail: measure}
+	}
 	p := samplePlan{windows: uint64(sc.Windows), measure: measure}
 	period := measure / p.windows
 	if period == 0 {
@@ -237,147 +239,4 @@ func (s *System) runFunctionalUntil(target, quantum uint64, rates *sampleRates) 
 			return
 		}
 	}
-}
-
-// runSampled is Run's sampled-fidelity mode (Config.Sample.Enabled): the
-// warm-up budget opens with a short detailed *pilot* span (seeding the
-// per-core retirement-rate estimates that schedule functional interleaving)
-// and executes the rest in functional-warming mode; then the measured
-// budget alternates functional gaps with detailed windows laid out by
-// SampleConfig, re-estimating each core's rate from every detailed window.
-// Per-app IPC/MPKI are cycle-weighted ratio estimates over the union of
-// detailed windows, with per-window confidence diagnostics in
-// AppResult.Sampled; Instructions/Cycles and the LLC demand counters sum
-// the detailed windows only. Arbiter wait statistics and DRAM diagnostics accumulate over every
-// detailed phase (warm and measured) — the functional gaps never touch
-// arbiter or DRAM state, so those fields describe detailed execution only.
-func (s *System) runSampled(warmup, measure uint64) Result {
-	p := s.cfg.Sample.plan(measure)
-
-	n := len(s.cores)
-	rates := newSampleRates(n)
-	if warmup > 0 {
-		pilot := p.detail
-		if pilot > warmup {
-			pilot = warmup
-		}
-		pilotC := make([]uint64, n)
-		pilotI := make([]uint64, n)
-		s.runUntilRetired(pilot, pilotC, pilotI)
-		for i := 0; i < n; i++ {
-			rates.observe(i, pilotI[i], pilotC[i])
-		}
-		s.runFunctionalUntil(warmup, p.quantum, rates)
-	}
-	s.resetAtWarmBoundary()
-
-	windows := int(p.windows)
-	var (
-		instrSum = make([]uint64, n)
-		cycleSum = make([]uint64, n)
-		accSum   = make([]uint64, n)
-		missSum  = make([]uint64, n)
-		bypSum   = make([]uint64, n)
-
-		ipcW = make([][]float64, n)
-		l2W  = make([][]float64, n)
-		llcW = make([][]float64, n)
-
-		startC = make([]uint64, n)
-		startI = make([]uint64, n)
-		endC   = make([]uint64, n)
-		endI   = make([]uint64, n)
-		accA   = make([]uint64, n)
-		missA  = make([]uint64, n)
-		bypA   = make([]uint64, n)
-	)
-	for i := 0; i < n; i++ {
-		ipcW[i] = make([]float64, 0, windows)
-		l2W[i] = make([]float64, 0, windows)
-		llcW[i] = make([]float64, 0, windows)
-	}
-
-	llcStats := s.sub.llc.Stats()
-	for w := 0; w < windows; w++ {
-		windowEnd := p.windowEnd(w)
-		warmTarget := windowEnd - p.detail
-		gapTarget := warmTarget - p.warm
-
-		// Functional gap, then detailed timing re-warm. The re-warm run
-		// records each core's (clock, retired) at its warm-target crossing:
-		// that is the measured window's start point, mirroring how the
-		// fully-detailed Run freezes counters at target crossings.
-		s.runFunctionalUntil(gapTarget, p.quantum, rates)
-		s.runUntilRetired(warmTarget, startC, startI)
-		for i := 0; i < n; i++ {
-			accA[i] = llcStats.DemandAccesses[i]
-			missA[i] = llcStats.DemandMisses[i]
-			bypA[i] = llcStats.Bypasses[i]
-		}
-
-		s.runUntilRetired(windowEnd, endC, endI)
-		for i := 0; i < n; i++ {
-			di := endI[i] - startI[i]
-			dc := endC[i] - startC[i]
-			rates.observe(i, di, dc)
-			instrSum[i] += di
-			cycleSum[i] += dc
-			da := llcStats.DemandAccesses[i] - accA[i]
-			dm := llcStats.DemandMisses[i] - missA[i]
-			db := llcStats.Bypasses[i] - bypA[i]
-			accSum[i] += da
-			missSum[i] += dm
-			bypSum[i] += db
-			if dc > 0 {
-				ipcW[i] = append(ipcW[i], float64(di)/float64(dc))
-			}
-			l2W[i] = append(l2W[i], metrics.MPKI(da, di))
-			llcW[i] = append(llcW[i], metrics.MPKI(dm, di))
-		}
-	}
-
-	res := Result{Apps: make([]AppResult, n)}
-	for i := 0; i < n; i++ {
-		ipcInt := metrics.MeanInterval(ipcW[i])
-		l2Int := metrics.MeanInterval(l2W[i])
-		llcInt := metrics.MeanInterval(llcW[i])
-		// Point estimates are ratios over the union of detailed windows
-		// (Σinstr/Σcycles, Σmisses/Σinstr) — the cycle-weighted form the
-		// fully-detailed run reduces to with one window. Averaging
-		// per-window IPCs instead would overestimate any app whose speed
-		// varies across windows (the arithmetic mean of rates exceeds the
-		// cycle-weighted rate); the per-window samples feed only the
-		// confidence diagnostics in Sampled.
-		var ipc float64
-		if cycleSum[i] > 0 {
-			ipc = float64(instrSum[i]) / float64(cycleSum[i])
-		}
-		app := AppResult{
-			Instructions:      instrSum[i],
-			Cycles:            cycleSum[i],
-			IPC:               ipc,
-			L2MPKI:            metrics.MPKI(accSum[i], instrSum[i]),
-			LLCMPKI:           metrics.MPKI(missSum[i], instrSum[i]),
-			LLCDemandAccesses: accSum[i],
-			LLCDemandMisses:   missSum[i],
-			LLCBypasses:       bypSum[i],
-			ArbiterMeanWait:   s.sub.arb.MeanWait(i),
-			ArbiterWaitHist:   s.sub.arb.WaitHistOf(i),
-			Sampled: SampleEstimate{
-				Windows:   windows,
-				IPCCI:     ipcInt.CI,
-				IPCCV:     ipcInt.CV,
-				L2MPKICI:  l2Int.CI,
-				LLCMPKICI: llcInt.CI,
-			},
-		}
-		if m := s.sub.cluster; m != nil {
-			app.Cluster = m.Classes()[i].String()
-			app.ClusterWays = m.WaysOf(i)
-		}
-		res.Apps[i] = app
-	}
-	res.DRAMRowHitRate = s.sub.dram.Stats().RowHitRate()
-	res.DRAMBanks = s.sub.dram.BankStats()
-	return res
 }

@@ -150,25 +150,24 @@ func TestRunWithAllPolicies(t *testing.T) {
 	}
 }
 
-func TestLLCAccessHookObservesDemandAccesses(t *testing.T) {
-	cfg := quickConfig(1)
-	var hooked uint64
-	cfg.LLCAccessHook = func(core, set int, block uint64) {
+func TestObserveLLCSeesDemandAccesses(t *testing.T) {
+	s := NewFromNames(quickConfig(1), []string{"libq"})
+	var observed uint64
+	s.ObserveLLC(func(core, set int, block uint64) {
 		if core != 0 {
-			t.Errorf("hook saw core %d on a 1-core system", core)
+			t.Errorf("observer saw core %d on a 1-core system", core)
 		}
-		hooked++
-	}
-	s := NewFromNames(cfg, []string{"libq"})
+		observed++
+	})
 	res := s.Run(0, 50_000)
 	total := res.Apps[0].LLCDemandAccesses
-	if hooked == 0 {
-		t.Fatal("hook never fired")
+	if observed == 0 {
+		t.Fatal("observer never fired")
 	}
-	// The hook fires on every demand LLC access including warm-up, but with
-	// warmup=0 the counts must match exactly.
-	if hooked != total {
-		t.Fatalf("hook fired %d times, LLC demand accesses = %d", hooked, total)
+	// The observer fires on every demand LLC access including warm-up, but
+	// with warmup=0 the counts must match exactly.
+	if observed != total {
+		t.Fatalf("observer fired %d times, LLC demand accesses = %d", observed, total)
 	}
 }
 

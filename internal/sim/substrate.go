@@ -24,6 +24,10 @@ type sharedSubstrate struct {
 	dram *mem.DDR2
 	arb  *arbiter.VPC
 
+	// observe, when non-nil, sees every demand access that reaches the LLC
+	// (see System.ObserveLLC).
+	observe func(core, set int, block uint64)
+
 	// cluster, when non-nil, is the LFOC-style fairness clustering manager.
 	// It observes every LLC demand access and flips the policy's way masks
 	// at epoch boundaries, both inside Fetch, so its decisions follow the
@@ -56,7 +60,7 @@ func bankPools(total, banks int) []*cache.TimedPool {
 // request leaves the core's L2 MSHRs; the return value is the time the data
 // is available to the private hierarchy.
 //
-// The statement order — arbiter grant, access hook, LLC lookup, cluster
+// The statement order — arbiter grant, LLC observer, LLC lookup, cluster
 // observation, DRAM read, dirty-victim drain — is the canonical substrate
 // mutation order, and the golden-fingerprint corpus pins it.
 func (u *sharedSubstrate) Fetch(core int, block, pc uint64, write, demand bool, at uint64) uint64 {
@@ -64,8 +68,8 @@ func (u *sharedSubstrate) Fetch(core int, block, pc uint64, write, demand bool, 
 	start := u.arb.Schedule(core, u.arb.BankOf(set), at)
 	t4 := start + u.cfg.LLCLatency
 
-	if demand && u.cfg.LLCAccessHook != nil {
-		u.cfg.LLCAccessHook(core, set, block)
+	if demand && u.observe != nil {
+		u.observe(core, set, block)
 	}
 	u.scratchLLC = cache.Access{Block: block, Core: core, PC: pc, Write: write, Demand: demand}
 	rl := u.llc.Access(&u.scratchLLC)
@@ -118,14 +122,14 @@ func (u *sharedSubstrate) Writeback(core int, block uint64, at uint64) uint64 {
 
 // fetchFunc is Fetch without time, for functional-warming gaps: the LLC
 // lookup (and so replacement metadata, SHCT/duel learning, bypass
-// decisions), the access hook and the cluster observation all happen in the
+// decisions), the LLC observer and the cluster observation all happen in the
 // same order as in Fetch, but there is no arbiter grant and no DRAM access —
 // an LLC miss fills (or bypasses) instantly at nominal latency. Cluster
 // waits are observed as zero: the functional machine has no queueing.
 func (u *sharedSubstrate) fetchFunc(core int, block, pc uint64, write, demand bool) {
 	set := u.llc.SetOf(block)
-	if demand && u.cfg.LLCAccessHook != nil {
-		u.cfg.LLCAccessHook(core, set, block)
+	if demand && u.observe != nil {
+		u.observe(core, set, block)
 	}
 	u.scratchLLC = cache.Access{Block: block, Core: core, PC: pc, Write: write, Demand: demand}
 	rl := u.llc.Access(&u.scratchLLC)

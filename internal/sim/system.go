@@ -172,22 +172,15 @@ func (s *System) L2(i int) *cache.Cache { return s.paths[i].l2 }
 // DRAM exposes the memory model.
 func (s *System) DRAM() *mem.DDR2 { return s.sub.dram }
 
-// Arbiter exposes the VPC arbiter.
-func (s *System) Arbiter() *arbiter.VPC { return s.sub.arb }
-
 // Cluster exposes the fairness clustering manager, or nil when clustering
 // is disabled (experiments and tests inspect classifications and masks).
 func (s *System) Cluster() *cluster.Manager { return s.sub.cluster }
 
-// Access implements cpu.MemSystem on the whole System, preserving the
-// method set the public API (repro.System) has always exposed: one memory
-// reference for the given core through its private hierarchy and, on an L2
-// miss, the shared substrate. The simulator's own cores are wired to their
-// corePath directly and never come through here; callers driving a System
-// by hand must do so from a single goroutine.
-func (s *System) Access(core int, now uint64, addr uint64, write bool, pc uint64) uint64 {
-	return s.paths[core].Access(core, now, addr, write, pc)
-}
+// ObserveLLC registers fn to see every demand access that reaches the
+// shared LLC, in detailed and in functional-warming execution, just before
+// the LLC lookup (after the arbiter grant, when there is one). Table 4's
+// footprint samplers attach here. fn must not mutate simulator state.
+func (s *System) ObserveLLC(fn func(core, set int, block uint64)) { s.sub.observe = fn }
 
 // Access implements cpu.MemSystem: one memory reference through the
 // hierarchy. It returns the completion time of the reference.

@@ -122,25 +122,6 @@ func (g *MixedScan) NextBatch(ops []Op) {
 	g.writes.fill(ops)
 }
 
-// NextBatch implements BatchGenerator.
-func (g *Zipf) NextBatch(ops []Op) {
-	src := g.src
-	base, pcBase := g.p.Base, g.p.PCBase
-	logN, ws := g.logN, g.wsBlocks
-	for i := range ops {
-		u := src.Float64()
-		rank := uint64(math.Exp(u * logN)) // in [1, N]
-		if rank >= ws {
-			rank = ws - 1
-		}
-		addr := rank * 0x9E3779B97F4A7C15 % ws
-		ops[i].Addr = base + addr
-		ops[i].PC = pcBase + 0x70 + rank%4
-	}
-	g.gaps.fill(ops)
-	g.writes.fill(ops)
-}
-
 // NextBatch implements BatchGenerator: the inner generator fills the batch
 // (through its own specialized loop when it has one), then the modulated
 // gap process overwrites the gaps exactly as the scalar Next does — two

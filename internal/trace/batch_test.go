@@ -23,7 +23,6 @@ func batchFamilies() map[string]func() Generator {
 		"cyclic":     func() Generator { return NewCyclicStride(params(0.3, 5), 4096, 3) },
 		"stream":     func() Generator { return NewStream(params(0.3, 5), 1<<20) },
 		"mixedscan":  func() Generator { return NewMixedScan(params(0.3, 5), 64, 8, 32, 1<<16) },
-		"zipf":       func() Generator { return NewZipf(params(0.3, 5), 4096) },
 	}
 	out := map[string]func() Generator{}
 	for name, mk := range fams {
@@ -108,7 +107,7 @@ func TestNextBatchMatchesScalar(t *testing.T) {
 // TestFillBatchScalarFallback pins the generic adapter: a generator without
 // the BatchGenerator capability must be driven by plain Next calls.
 func TestFillBatchScalarFallback(t *testing.T) {
-	base := func() Generator { return NewZipf(params(0.3, 9), 2048) }
+	base := func() Generator { return NewWorkingSet(params(0.3, 9), 2048, 0.1, 0.7) }
 	ref := base()
 	want := collect(ref, 500)
 	wrapped := scalarOnly{base()}
@@ -134,7 +133,6 @@ func TestAllFamiliesImplementBatchGenerator(t *testing.T) {
 		"cyclic":     NewCyclic(params(0.3, 1), 64),
 		"stream":     NewStream(params(0.3, 1), 64),
 		"mixedscan":  NewMixedScan(params(0.3, 1), 16, 4, 8, 64),
-		"zipf":       NewZipf(params(0.3, 1), 64),
 		"markov": NewMarkovBurst(NewStream(params(0.3, 1), 64),
 			BurstParams{CalmMemRatio: 0.2, BurstMemRatio: 0.5, CalmOps: 8, BurstOps: 4}, 1),
 	}

@@ -22,7 +22,6 @@ func benchGens() []struct {
 		{"Cyclic", func() Generator { return NewCyclicStride(params(0.3, 5), 4096, 3) }},
 		{"Stream", func() Generator { return NewStream(params(0.3, 5), 1<<20) }},
 		{"MixedScan", func() Generator { return NewMixedScan(params(0.3, 5), 64, 8, 32, 1<<16) }},
-		{"Zipf", func() Generator { return NewZipf(params(0.3, 5), 4096) }},
 		{"MarkovBurst", func() Generator {
 			return NewMarkovBurst(NewWorkingSet(params(0.3, 5), 4096, 0.1, 0.7), bp, 0xBEEF)
 		}},

@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"math"
-
-	"repro/internal/rng"
-)
+import "repro/internal/rng"
 
 // WorkingSet models a recency-friendly application: accesses stay inside a
 // bounded working set of wsBlocks, with a fraction hotProb of references
@@ -195,7 +191,6 @@ type MixedScan struct {
 	hotCursor uint64
 	gaps      gapper
 	writes    writer
-	src       *rng.Source
 }
 
 // NewMixedScan builds a mixed hot-set/scan generator.
@@ -212,7 +207,6 @@ func NewMixedScan(p Params, hotBlocks uint64, k int, scanLen, scanRegion uint64)
 		scanRegion: scanRegion,
 		gaps:       newGapper(p.MemRatio, p.Seed),
 		writes:     newWriter(p.WriteRatio, p.Seed),
-		src:        rng.New(p.Seed ^ 0xA54FF53A5F1D36F1),
 	}
 	g.phaseHot = k
 	return g
@@ -250,57 +244,6 @@ func (g *MixedScan) Reset() {
 	g.hotCursor = 0
 	g.gaps.reset()
 	g.writes.reset()
-	g.src = rng.New(g.p.Seed ^ 0xA54FF53A5F1D36F1)
-}
-
-// Zipf models power-law reuse over wsBlocks with exponent ~1, sampled with
-// the inverse-CDF approximation rank = N^u (exact for alpha=1 in the
-// continuum limit), which needs no per-rank tables.
-type Zipf struct {
-	p        Params
-	wsBlocks uint64
-	logN     float64
-	gaps     gapper
-	writes   writer
-	src      *rng.Source
-}
-
-// NewZipf builds a Zipf-reuse generator.
-func NewZipf(p Params, wsBlocks uint64) *Zipf {
-	mustValidate(p)
-	if wsBlocks < 2 {
-		panic("trace: Zipf needs at least 2 blocks")
-	}
-	return &Zipf{
-		p:        p,
-		wsBlocks: wsBlocks,
-		logN:     math.Log(float64(wsBlocks)),
-		gaps:     newGapper(p.MemRatio, p.Seed),
-		writes:   newWriter(p.WriteRatio, p.Seed),
-		src:      rng.New(p.Seed ^ 0x510E527FADE682D1),
-	}
-}
-
-// Next implements Generator.
-func (g *Zipf) Next(op *Op) {
-	u := g.src.Float64()
-	rank := uint64(math.Exp(u * g.logN)) // in [1, N]
-	if rank >= g.wsBlocks {
-		rank = g.wsBlocks - 1
-	}
-	// Scatter ranks over the region so hot blocks do not all share low sets.
-	addr := rank * 0x9E3779B97F4A7C15 % g.wsBlocks
-	op.Addr = g.p.Base + addr
-	op.PC = g.p.PCBase + 0x70 + rank%4
-	op.Gap = g.gaps.next()
-	op.Write = g.writes.next()
-}
-
-// Reset implements Generator.
-func (g *Zipf) Reset() {
-	g.gaps.reset()
-	g.writes.reset()
-	g.src = rng.New(g.p.Seed ^ 0x510E527FADE682D1)
 }
 
 func mustValidate(p Params) {

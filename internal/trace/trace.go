@@ -16,7 +16,6 @@
 //   - Stream     — strictly sequential, no temporal reuse (STRM, lbm).
 //   - MixedScan  — a hot set interleaved with long scans, the paper's
 //     ({a1..ak}^k {s1..sn}^d) pattern (mcf, sopl).
-//   - Zipf       — power-law skewed reuse (moderate-intensity M class).
 //
 // All generators are deterministic given their Params.Seed and support Reset
 // (the paper re-executes finished applications from the beginning; our

@@ -76,7 +76,6 @@ func TestDeterminismAndReset(t *testing.T) {
 		"cyclic":     func() Generator { return NewCyclic(params(0.3, 5), 4096) },
 		"stream":     func() Generator { return NewStream(params(0.3, 5), 1<<20) },
 		"mixedscan":  func() Generator { return NewMixedScan(params(0.3, 5), 64, 8, 32, 1<<16) },
-		"zipf":       func() Generator { return NewZipf(params(0.3, 5), 4096) },
 	}
 	for name, mk := range gens {
 		a, b := mk(), mk()
@@ -106,7 +105,6 @@ func TestAddressesStayInRegion(t *testing.T) {
 		{"workingset", NewWorkingSet(params(0.3, 1), 1000, 0.1, 0.5), 1000},
 		{"cyclic", NewCyclic(params(0.3, 1), 1000), 1000},
 		{"stream", NewStream(params(0.3, 1), 1000), 1000},
-		{"zipf", NewZipf(params(0.3, 1), 1000), 1000},
 	}
 	for _, c := range cases {
 		for _, op := range collect(c.gen, 5000) {
@@ -184,32 +182,6 @@ func TestMixedScanPhaseStructure(t *testing.T) {
 	}
 }
 
-func TestZipfSkew(t *testing.T) {
-	const ws = 1 << 16
-	g := NewZipf(params(0.3, 8), ws)
-	counts := map[uint64]int{}
-	const n = 200000
-	for _, op := range collect(g, n) {
-		counts[op.Addr]++
-	}
-	// Zipf: a small number of blocks dominates. The top block should be
-	// referenced far more than 10x the uniform expectation.
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	uniform := float64(n) / float64(ws)
-	if float64(max) < 10*uniform {
-		t.Fatalf("max block count %d vs uniform %.1f: not skewed", max, uniform)
-	}
-	// And the footprint must still be broad (not degenerate).
-	if len(counts) < ws/10 {
-		t.Fatalf("zipf visited only %d distinct blocks", len(counts))
-	}
-}
-
 func TestOpInstructions(t *testing.T) {
 	op := Op{Gap: 9}
 	if op.Instructions() != 10 {
@@ -223,7 +195,6 @@ func TestConstructorsPanicOnBadInput(t *testing.T) {
 		func() { NewCyclic(params(0.3, 1), 0) },
 		func() { NewStream(params(0.3, 1), 0) },
 		func() { NewMixedScan(params(0.3, 1), 0, 8, 32, 100) },
-		func() { NewZipf(params(0.3, 1), 1) },
 		func() { NewCyclic(Params{MemRatio: 0}, 100) },
 	}
 	for i, f := range cases {
