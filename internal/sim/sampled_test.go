@@ -197,6 +197,19 @@ func TestSamplePlanFeasibility(t *testing.T) {
 	SampleConfig{Windows: 4, DetailInstr: 900, WarmInstr: 200}.plan(4_000) // period 1000 < 1100
 }
 
+// TestDetailedRunWithoutMeasureBudget: a detailed config's one-window plan
+// over a zero measured budget measures nothing; it must not reach the
+// sampled geometry checks, which reject windows without an instruction.
+func TestDetailedRunWithoutMeasureBudget(t *testing.T) {
+	names := []string{"calc", "mcf"}
+	res := NewFromNames(goldenConfig(len(names), "tadrrip"), names).Run(5_000, 0)
+	for i, app := range res.Apps {
+		if app.Instructions != 0 || app.Cycles != 0 || app.IPC != 0 {
+			t.Errorf("app %d: zero-budget run measured %+v", i, app)
+		}
+	}
+}
+
 // TestSampleAxisInConfigFingerprint pins the cache-keying rule: the sampling
 // axis is part of the Config digest, so a sampled run can never share a
 // memoized result with the detailed run it approximates (or with a sampled
