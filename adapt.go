@@ -172,8 +172,8 @@ type ClusterConfig = cluster.Config
 const ModeLFOC = cluster.ModeLFOC
 
 // WithClustering returns cfg with the LFOC clustering layer enabled at its
-// default thresholds and way quotas. The LLC policy must support way masks
-// (every deterministic registered policy except "random" does).
+// default thresholds and way quotas. Any LLC policy works: the cache itself
+// confines each core's fills to its way partition.
 func WithClustering(cfg Config) Config {
 	cfg.Cluster.Mode = ModeLFOC
 	return cfg

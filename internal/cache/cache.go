@@ -79,41 +79,48 @@ type EvictedLine struct {
 	Dirty bool
 }
 
-// ReplacementPolicy is the hook interface replacement algorithms implement.
-// The cache invokes the methods in this order on a reference:
+// ReplacementPolicy is the hook interface replacement algorithms implement:
+// only what a policy decides. The cache owns everything else — line
+// validity, each core's fill partition and the rule that only demand
+// references train replacement state (the paper's footnote 4). It invokes
+// the methods in this order on a reference:
 //
-//	hit:  OnHit
-//	miss: OnMiss, FillDecision, [OnEvict if a valid victim], OnFill
+//	hit:  OnHit                 (demand references only)
+//	miss: FillDecision, OnFill
 //
-// FillDecision may return allocate=false to bypass the fill entirely (the
-// block is forwarded to the requester without being installed), which is how
-// ADAPT_bp32 and the bypass variants of Figure 6 are expressed. Policies
-// receive every access, including prefetches and write-backs, and are
-// responsible for filtering on a.Demand where the modelled hardware does so.
+// FillDecision receives the set's valid-way bitset and the filling core's
+// candidate ways (every way, or the core's mask; see SetWayMask). A policy
+// that allocates must return a candidate way, and an invalid candidate when
+// there is one; the cache panics on a way outside the candidates. It may
+// return allocate=false to bypass the fill entirely (the block is forwarded
+// to the requester without being installed), which is how ADAPT_bp32 and
+// the bypass variants of Figure 6 are expressed. OnFill sees every fill,
+// including prefetches and write-backs, whose insertion values differ.
 //
-// Policies whose per-access callbacks are exactly the RRIP Engine's common
-// behaviour can additionally implement HotPather; the cache then skips the
-// interface for those callbacks (same decisions, no dynamic dispatch).
+// Policies that need more of the miss path implement the optional
+// MissObserver and EvictObserver. Policies whose per-access callbacks are
+// the RRIP Engine's own can additionally implement HotPather; the cache
+// then skips the interface for those callbacks (same decisions, no dynamic
+// dispatch).
 type ReplacementPolicy interface {
 	Name() string
 	OnHit(a *Access, set, way int)
-	OnMiss(a *Access, set int)
-	FillDecision(a *Access, set int) (way int, allocate bool)
+	FillDecision(a *Access, set int, valid, ways uint64) (way int, allocate bool)
 	OnFill(a *Access, set, way int)
-	OnEvict(set, way int, ev EvictedLine)
 }
 
-// WayMasker is the optional capability interface a replacement policy
-// implements to support way partitioning: SetWayMask restricts which ways
-// core's *fills* may victimise in every set (bit w set = way w allowed).
-// Hits remain unrestricted — a line is served wherever it lives, which is
-// the standard way-partitioning semantics (partitioning controls insertion
-// bandwidth, not lookup). A zero mask means unrestricted. The clustering
-// layer in internal/cluster drives this; policies that cannot honour masks
-// simply don't implement the interface and the simulator rejects the
-// combination at construction time.
-type WayMasker interface {
-	SetWayMask(core int, mask uint64)
+// MissObserver is the optional capability a policy implements to see demand
+// misses before the fill decision (set-dueling selectors and ADAPT's
+// footprint monitor train on them).
+type MissObserver interface {
+	OnMiss(a *Access, set int)
+}
+
+// EvictObserver is the optional capability a policy implements to see each
+// valid line a fill displaces, after the fill decision and before OnFill
+// (SHiP trains on dead lines, EAF records their addresses).
+type EvictObserver interface {
+	OnEvict(set, way int, ev EvictedLine)
 }
 
 // Line is one cache block's bookkeeping state as a value — the view LineAt
@@ -193,7 +200,11 @@ type Cache struct {
 	valid    []uint64 // per set: valid-way bitset
 	dirty    []uint64 // per set: dirty-way bitset
 	pref     []uint64 // per set: prefetched-not-yet-demanded bitset
+	full     uint64   // every way's bit
+	masks    []uint64 // per core: fill candidate ways (full = unrestricted)
 	policy   ReplacementPolicy
+	miss     MissObserver // policy's optional capabilities, nil if absent
+	evict    EvictObserver
 
 	// hot is the active dispatch profile: zero means every policy callback
 	// goes through the ReplacementPolicy interface (the reference path);
@@ -208,8 +219,9 @@ type Cache struct {
 
 // New builds a cache. It panics on invalid configuration (construction
 // happens at setup time from vetted configs; failing loudly beats limping).
-// If the policy implements HotPather, its profile is captured here, once,
-// and drives devirtualized dispatch for the flagged callbacks.
+// The policy's optional capabilities are captured here, once: MissObserver,
+// EvictObserver and HotPather, whose profile drives devirtualized dispatch
+// for the flagged callbacks.
 func New(cfg Config, p ReplacementPolicy) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -226,12 +238,19 @@ func New(cfg Config, p ReplacementPolicy) *Cache {
 		valid:    make([]uint64, cfg.Geometry.Sets),
 		dirty:    make([]uint64, cfg.Geometry.Sets),
 		pref:     make([]uint64, cfg.Geometry.Sets),
+		full:     uint64(1)<<uint(cfg.Geometry.Ways) - 1,
+		masks:    make([]uint64, cfg.Geometry.Cores),
 		policy:   p,
 		stats:    newStats(cfg.Geometry.Cores),
 	}
+	for i := range c.masks {
+		c.masks[i] = c.full
+	}
+	c.miss, _ = p.(MissObserver)
+	c.evict, _ = p.(EvictObserver)
 	if hp, ok := p.(HotPather); ok {
 		prof := hp.Hot()
-		if prof.Engine == nil && (prof.PlainHit || prof.PlainVictim || prof.PlainEvict) {
+		if prof.Engine == nil && (prof.PlainHit || prof.PlainVictim) {
 			panic(fmt.Sprintf("cache %s: policy %s declared a hot profile without an engine", cfg.Name, p.Name()))
 		}
 		c.hot = prof
@@ -262,6 +281,18 @@ func (c *Cache) SetReferenceDispatch(on bool) {
 	} else {
 		c.hot = c.hotFull
 	}
+}
+
+// SetWayMask restricts which ways core's fills may victimise in every set
+// (bit w set = way w allowed); a zero mask means unrestricted. Hits remain
+// unrestricted — a line is served wherever it lives, which is the standard
+// way-partitioning semantics (partitioning controls insertion bandwidth,
+// not lookup). The clustering layer in internal/cluster drives this.
+func (c *Cache) SetWayMask(core int, mask uint64) {
+	if mask &= c.full; mask == 0 {
+		mask = c.full
+	}
+	c.masks[core] = mask
 }
 
 // SetOf returns the set index for a block address.
@@ -322,17 +353,18 @@ func (c *Cache) Access(a *Access) Result {
 	if w := c.findWay(set, tag); w >= 0 {
 		res := Result{Hit: true}
 		bit := uint64(1) << uint(w)
-		if a.Demand && c.pref[set]&bit != 0 {
-			c.pref[set] &^= bit
-			res.PrefetchHit = true
-		}
 		if a.Write {
 			c.dirty[set] |= bit
 		}
+		if !a.Demand {
+			return res
+		}
+		if c.pref[set]&bit != 0 {
+			c.pref[set] &^= bit
+			res.PrefetchHit = true
+		}
 		if c.hot.PlainHit {
-			if a.Demand {
-				c.hot.Engine.Promote(set, w)
-			}
+			c.hot.Engine.Promote(set, w)
 		} else {
 			c.policy.OnHit(a, set, w)
 		}
@@ -343,36 +375,36 @@ func (c *Cache) Access(a *Access) Result {
 	c.stats.Misses[a.Core]++
 	if a.Demand {
 		c.stats.DemandMisses[a.Core]++
-	}
-	if !c.hot.SkipMiss {
-		c.policy.OnMiss(a, set)
+		if c.miss != nil {
+			c.miss.OnMiss(a, set)
+		}
 	}
 
+	valid, ways := c.valid[set], c.masks[a.Core]
 	var way int
 	if c.hot.PlainVictim {
-		// The engine's victim is in-range by construction; no recheck.
-		way = c.hot.Engine.VictimFor(a, set)
+		// The engine's victim is a candidate by construction; no recheck.
+		way = c.hot.Engine.VictimFor(set, valid, ways)
 	} else {
 		var allocate bool
-		way, allocate = c.policy.FillDecision(a, set)
+		way, allocate = c.policy.FillDecision(a, set, valid, ways)
 		if !allocate {
 			c.stats.Bypasses[a.Core]++
 			return Result{Bypassed: true}
 		}
-		if way < 0 || way >= c.ways {
-			panic(fmt.Sprintf("cache %s: policy %s returned invalid victim way %d", c.cfg.Name, c.policy.Name(), way))
+		if way < 0 || way >= c.ways || ways&(1<<uint(way)) == 0 {
+			panic(fmt.Sprintf("cache %s: policy %s returned way %d, not a candidate of %#x",
+				c.cfg.Name, c.policy.Name(), way, ways))
 		}
 	}
 
 	res := Result{}
 	i := set*c.ways + way
 	bit := uint64(1) << uint(way)
-	if c.valid[set]&bit != 0 {
+	if valid&bit != 0 {
 		ev := EvictedLine{Block: c.BlockOf(set, c.tags[i]), Core: int(c.core[i]), Dirty: c.dirty[set]&bit != 0}
-		if c.hot.PlainEvict {
-			c.hot.Engine.Invalidate(set, way)
-		} else {
-			c.policy.OnEvict(set, way, ev)
+		if c.evict != nil {
+			c.evict.OnEvict(set, way, ev)
 		}
 		c.stats.Evictions[ev.Core]++
 		if ev.Dirty {
@@ -405,19 +437,13 @@ func (c *Cache) Access(a *Access) Result {
 // dirty), a miss leaves the cache untouched and the caller forwards the
 // write to the next level. This is the non-inclusive LLC's victim-write
 // path — allocating such lines would only churn the cache with blocks the
-// upper level just proved it no longer wants.
+// upper level just proved it no longer wants. A write-back is never a
+// demand reference, so the policy is not consulted.
 func (c *Cache) WritebackNoAllocate(a *Access) (hit bool) {
 	set, tag := c.SetOf(a.Block), c.TagOf(a.Block)
 	c.stats.Accesses[a.Core]++
 	if w := c.findWay(set, tag); w >= 0 {
 		c.dirty[set] |= uint64(1) << uint(w)
-		if c.hot.PlainHit {
-			if a.Demand {
-				c.hot.Engine.Promote(set, w)
-			}
-		} else {
-			c.policy.OnHit(a, set, w)
-		}
 		return true
 	}
 	c.stats.Misses[a.Core]++

@@ -5,8 +5,9 @@ import (
 	"testing/quick"
 )
 
-// fifoPolicy is a minimal test policy: FIFO victim selection per set, no
-// bypass, with optional recording of callback order.
+// fifoPolicy is a minimal test policy: FIFO victim selection per set
+// (ignoring way masks), optional bypass, and a record of callback order. It
+// implements both optional observers.
 type fifoPolicy struct {
 	geom   Geometry
 	next   []int
@@ -25,7 +26,7 @@ func (p *fifoPolicy) OnHit(a *Access, set, way int) {
 func (p *fifoPolicy) OnMiss(a *Access, set int) {
 	p.calls = append(p.calls, "miss")
 }
-func (p *fifoPolicy) FillDecision(a *Access, set int) (int, bool) {
+func (p *fifoPolicy) FillDecision(a *Access, set int, valid, ways uint64) (int, bool) {
 	if p.bypass {
 		return -1, false
 	}
@@ -223,6 +224,48 @@ func TestCallbackOrderOnMissWithEviction(t *testing.T) {
 			t.Fatalf("callback sequence %v, want %v", p.calls, want)
 		}
 	}
+}
+
+// TestNonDemandNeverTrainsPolicy pins the demand filter the cache owns:
+// prefetch and write-back hits and misses never reach OnHit or OnMiss (and
+// write-backs that do not allocate never reach the policy at all), while
+// every fill still reaches OnFill.
+func TestNonDemandNeverTrainsPolicy(t *testing.T) {
+	cfg := testConfig(4, 1, 1) // direct-mapped: block 5 displaces block 1
+	p := newFIFO(cfg.Geometry)
+	c := New(cfg, p)
+	c.Access(&Access{Block: 1})                               // prefetch miss
+	c.Access(&Access{Block: 1})                               // prefetch hit
+	c.Access(&Access{Block: 2, Write: true, Writeback: true}) // write-back miss
+	c.Access(&Access{Block: 2, Write: true, Writeback: true}) // write-back hit
+	c.WritebackNoAllocate(&Access{Block: 1, Write: true})     // non-allocating hit
+	c.WritebackNoAllocate(&Access{Block: 3, Write: true})     // non-allocating miss
+	c.Access(&Access{Block: 1, Demand: true})                 // demand hit
+	c.Access(&Access{Block: 5, Demand: true})                 // demand miss
+	want := []string{"fill", "fill", "hit", "miss", "evict", "fill"}
+	if len(p.calls) != len(want) {
+		t.Fatalf("callback sequence %v, want %v", p.calls, want)
+	}
+	for i := range want {
+		if p.calls[i] != want[i] {
+			t.Fatalf("callback sequence %v, want %v", p.calls, want)
+		}
+	}
+}
+
+// TestFillOutsideCandidatesPanics: a policy that allocates at a way outside
+// the filling core's candidates (here, outside its way mask) must be
+// caught at the boundary, not silently break the partition.
+func TestFillOutsideCandidatesPanics(t *testing.T) {
+	cfg := testConfig(4, 2, 1)
+	c := New(cfg, newFIFO(cfg.Geometry)) // FIFO's first pick is way 0
+	c.SetWayMask(0, 0b10)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("fill at way 0 outside mask 0b10 did not panic")
+		}
+	}()
+	c.Access(&Access{Block: 0, Demand: true})
 }
 
 func TestOccupancyByCore(t *testing.T) {

@@ -16,17 +16,14 @@ const MaxRRPV = 3
 //
 // The engine lives in this package (rather than internal/policy, where the
 // policies that embed it are defined) so that the cache's per-access fast
-// path can invoke Promote/VictimFor/Invalidate as concrete methods instead
-// of through the ReplacementPolicy interface — see HotProfile.
+// path can invoke Promote/VictimFor as concrete methods instead of through
+// the ReplacementPolicy interface — see HotProfile.
 //
-// The engine also tracks line validity (learned from OnFill/OnEvict
-// callbacks) so that invalid ways are consumed before any valid line is
-// victimised, matching real hardware fill behaviour. Validity is one
-// 64-bit word per set (bit w = way w, the same packed layout the Cache
-// keeps for its own valid/dirty/prefetch state): marking a fill or an
-// eviction is a single unconditional bit operation, a full set is one
-// compare against the all-ways mask, and the lowest-indexed invalid way
-// falls out of a trailing-zeros count instead of a scan.
+// Line validity and the filling core's candidate ways are the cache's
+// state, passed in to every victim search as bitsets (bit w = way w), so
+// the engine keeps only what RRIP itself decides. Its OnHit (promote) and
+// FillDecision (allocate at VictimFor) are the family's defaults, which an
+// embedding policy inherits unless it declares its own.
 //
 // Victim selection is a single bucket scan per call. The per-set hint — an
 // upper bound on the set's maximum RRPV — lets the scan stop at the first
@@ -37,16 +34,8 @@ const MaxRRPV = 3
 type Engine struct {
 	geom     Geometry
 	rrpv     []uint8
-	valid    []uint64 // per set: valid-way bitset
-	waysMask uint64   // low geom.Ways bits set
-	hint     []uint8  // per set: upper bound on the max RRPV of the set
-
-	// masks holds the per-core fill way masks set through SetWayMask
-	// (WayMasker); nil until the first mask arrives, so unclustered runs
-	// pay only one nil check per victim selection. fullMask caches the
-	// all-ways mask used for cores that are still unrestricted.
-	masks    []uint64
-	fullMask uint64
+	waysMask uint64  // low geom.Ways bits set
+	hint     []uint8 // per set: upper bound on the max RRPV of the set
 }
 
 // NewEngine builds an engine for the given cache geometry.
@@ -54,7 +43,6 @@ func NewEngine(g Geometry) Engine {
 	return Engine{
 		geom:     g,
 		rrpv:     make([]uint8, g.Sets*g.Ways),
-		valid:    make([]uint64, g.Sets),
 		waysMask: uint64(1)<<uint(g.Ways) - 1,
 		hint:     make([]uint8, g.Sets),
 	}
@@ -67,35 +55,39 @@ func (e *Engine) idx(set, way int) int { return set*e.geom.Ways + way }
 // cannot raise the maximum.
 func (e *Engine) Promote(set, way int) { e.rrpv[e.idx(set, way)] = 0 }
 
-// SetRRPV records the insertion value of a fresh fill and marks it valid.
+// SetRRPV records the insertion value of a fresh fill.
 func (e *Engine) SetRRPV(set, way int, v uint8) {
 	e.rrpv[e.idx(set, way)] = v
-	e.valid[set] |= 1 << uint(way)
 	if v > e.hint[set] {
 		e.hint[set] = v
 	}
 }
 
-// Invalidate marks a way empty (called from OnEvict).
-func (e *Engine) Invalidate(set, way int) {
-	e.valid[set] &^= 1 << uint(way)
-}
-
 // RRPVAt exposes a line's current RRPV (tests and diagnostics).
 func (e *Engine) RRPVAt(set, way int) uint8 { return e.rrpv[e.idx(set, way)] }
 
-// Victim returns the way to replace in set: the lowest-indexed invalid way
-// if one exists, otherwise the lowest-indexed way holding the set's maximum
-// RRPV, after aging every line up to the distant value — the same line the
-// classical "scan for MaxRRPV, age, retry" loop converges on, found in one
-// pass. Aging adds MaxRRPV-max to every way at once, which is exactly what
-// the retry loop's repeated +1 rounds amount to (no line can pass MaxRRPV,
-// because none exceeds the set maximum).
-func (e *Engine) Victim(set int) int {
+// OnHit is the RRIP family's default hit callback: promote the line.
+func (e *Engine) OnHit(a *Access, set, way int) { e.Promote(set, way) }
+
+// FillDecision is the RRIP family's default fill decision: always allocate,
+// at VictimFor's choice among the candidate ways.
+func (e *Engine) FillDecision(a *Access, set int, valid, ways uint64) (int, bool) {
+	return e.VictimFor(set, valid, ways), true
+}
+
+// Victim returns the way to replace in set, given the set's valid-way
+// bitset: the lowest-indexed invalid way if one exists, otherwise the
+// lowest-indexed way holding the set's maximum RRPV, after aging every line
+// up to the distant value — the same line the classical "scan for MaxRRPV,
+// age, retry" loop converges on, found in one pass. Aging adds MaxRRPV-max
+// to every way at once, which is exactly what the retry loop's repeated +1
+// rounds amount to (no line can pass MaxRRPV, because none exceeds the set
+// maximum).
+func (e *Engine) Victim(set int, valid uint64) int {
 	ways := e.geom.Ways
 	base := set * ways
-	if vm := e.valid[set]; vm != e.waysMask {
-		return bits.TrailingZeros64(^vm & e.waysMask)
+	if valid != e.waysMask {
+		return bits.TrailingZeros64(^valid & e.waysMask)
 	}
 	bound := e.hint[set]
 	maxW := 0
@@ -119,33 +111,15 @@ func (e *Engine) Victim(set int) int {
 	return maxW
 }
 
-// SetWayMask implements WayMasker: it restricts which ways core's fills may
-// victimise (bit w = way w allowed; 0 = unrestricted). Every RRIP-family
-// policy embeds Engine, so they all inherit mask support; the clustering
-// manager in internal/cluster is the caller.
-func (e *Engine) SetWayMask(core int, mask uint64) {
-	if e.masks == nil {
-		e.masks = make([]uint64, e.geom.Cores)
-		e.fullMask = (uint64(1) << e.geom.Ways) - 1
+// VictimFor is Victim restricted to the candidate ways: with every way a
+// candidate it is Victim itself; with a way mask the victim is chosen among
+// the masked ways only. The cache's fast path calls it directly for
+// policies that keep the engine's FillDecision (HotProfile.PlainVictim).
+func (e *Engine) VictimFor(set int, valid, ways uint64) int {
+	if ways == e.waysMask {
+		return e.Victim(set, valid)
 	}
-	e.masks[core] = mask & ((uint64(1) << e.geom.Ways) - 1)
-}
-
-// VictimFor is Victim with way-mask enforcement: when the filling core has
-// a way mask, the victim is chosen among the masked ways only; otherwise it
-// defers to Victim. Call sites in the concrete policies route every
-// FillDecision through here so partitioning works uniformly across the
-// RRIP family and ADAPT; the cache's fast path calls it directly for
-// policies whose FillDecision is exactly this (HotProfile.PlainVictim).
-func (e *Engine) VictimFor(a *Access, set int) int {
-	if e.masks == nil {
-		return e.Victim(set)
-	}
-	mask := e.masks[a.Core]
-	if mask == 0 || mask == e.fullMask {
-		return e.Victim(set)
-	}
-	return e.victimMasked(set, mask)
+	return e.victimMasked(set, valid, ways)
 }
 
 // victimMasked is Victim restricted to the ways in mask: the lowest-indexed
@@ -154,12 +128,10 @@ func (e *Engine) VictimFor(a *Access, set int) int {
 // Aging touches only the masked partition — the other clusters' re-reference
 // state must not be perturbed by this cluster's misses, that is the whole
 // point of partitioning. The set's hint rises to MaxRRPV (still a valid
-// upper bound). Panics if the chosen way escapes the mask: that invariant is
-// what the enforcement tests pin.
-func (e *Engine) victimMasked(set int, mask uint64) int {
-	ways := e.geom.Ways
-	base := set * ways
-	if inv := ^e.valid[set] & mask; inv != 0 {
+// upper bound).
+func (e *Engine) victimMasked(set int, valid, mask uint64) int {
+	base := set * e.geom.Ways
+	if inv := ^valid & mask; inv != 0 {
 		return bits.TrailingZeros64(inv) // lowest-indexed invalid masked way
 	}
 	maxW := -1
@@ -169,9 +141,6 @@ func (e *Engine) victimMasked(set int, mask uint64) int {
 		if v := e.rrpv[base+w]; maxW < 0 || v > maxV {
 			maxW, maxV = w, v
 		}
-	}
-	if maxW < 0 || mask&(1<<uint(maxW)) == 0 {
-		panic("cache: masked victim selection escaped the way mask")
 	}
 	if delta := MaxRRPV - maxV; delta > 0 {
 		for m := mask; m != 0; m &= m - 1 {
@@ -183,40 +152,34 @@ func (e *Engine) victimMasked(set int, mask uint64) int {
 }
 
 // HotProfile declares which of a replacement policy's per-access callbacks
-// are exactly the Engine's common RRIP-family behaviour, so the cache can
-// execute them as direct concrete-method calls instead of interface
-// dispatch. The profile is captured once at construction (New); the flags
-// are promises, each equivalent to a specific callback body:
+// are the Engine's own, so the cache can execute them as direct
+// concrete-method calls instead of interface dispatch. The profile is
+// captured once at construction (New); each flag promises that the policy
+// keeps the engine's callback, or one that acts exactly like it in this
+// configuration (a bypass-capable FillDecision with bypass off):
 //
-//	PlainHit:    OnHit(a, set, way)  ≡  if a.Demand { Engine.Promote(set, way) }
-//	SkipMiss:    OnMiss(a, set)      ≡  no-op
-//	PlainVictim: FillDecision(a, set) ≡ (Engine.VictimFor(a, set), true)
-//	PlainEvict:  OnEvict(set, way, _) ≡ Engine.Invalidate(set, way)
+//	PlainHit:    OnHit        is Engine.OnHit        (promote)
+//	PlainVictim: FillDecision is Engine.FillDecision (allocate at VictimFor)
 //
 // OnFill is never devirtualized: the insertion value is the policy's whole
 // contribution, so the fill boundary keeps its interface call. A flag
-// claimed by a policy whose callback does more silently changes decisions —
-// the differential dispatch tests (internal/policy) pin every registered
-// policy's profile against the pure interface path. The zero profile means
-// full interface dispatch.
+// claimed by a policy whose callback does more silently changes
+// decisions — the differential dispatch tests (internal/policy) pin every
+// registered policy's profile against the pure interface path. The zero
+// profile means full interface dispatch.
 type HotProfile struct {
-	// Engine is the policy's embedded RRIP engine; required whenever any
-	// of PlainHit/PlainVictim/PlainEvict is set.
+	// Engine is the policy's embedded RRIP engine; required whenever
+	// either flag is set.
 	Engine *Engine
-	// PlainHit: OnHit only promotes demand hits.
+	// PlainHit: the policy keeps Engine.OnHit.
 	PlainHit bool
-	// SkipMiss: OnMiss is a no-op.
-	SkipMiss bool
-	// PlainVictim: FillDecision always allocates at the engine's
-	// (mask-aware) victim.
+	// PlainVictim: the policy keeps Engine.FillDecision.
 	PlainVictim bool
-	// PlainEvict: OnEvict only invalidates the engine's way state.
-	PlainEvict bool
 }
 
 // HotPather is the optional capability interface a replacement policy
 // implements to opt its per-access callbacks into devirtualized dispatch.
-// Policies that don't implement it (LRU, Random, external policies) get the
+// Policies that don't implement it (LRU, external policies) get the
 // reference interface path for every callback.
 type HotPather interface {
 	Hot() HotProfile

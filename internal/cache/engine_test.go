@@ -54,8 +54,9 @@ func (e *refEngine) victim(set int) int {
 // TestVictimMatchesReference drives the optimized engine and the reference
 // through a long random schedule of promote/fill/invalidate/victim
 // operations and requires bit-identical decisions and RRPV state at every
-// step. This is the guard that the single-scan rewrite (and its live/hint
-// summaries) changed performance, not semantics.
+// step. This is the guard that the single-scan rewrite (and its hint
+// summaries) changed performance, not semantics. The engine reads validity
+// from the caller, so the test keeps the valid words a cache would.
 func TestVictimMatchesReference(t *testing.T) {
 	for _, g := range []Geometry{
 		{Sets: 16, Ways: 4, Cores: 2},
@@ -63,6 +64,7 @@ func TestVictimMatchesReference(t *testing.T) {
 		{Sets: 8, Ways: 3, Cores: 1}, // odd associativity
 	} {
 		e := NewEngine(g)
+		valid := make([]uint64, g.Sets)
 		ref := newRefEngine(g)
 		src := rng.New(0xE4617E5 ^ uint64(g.Sets*g.Ways))
 		for step := 0; step < 20000; step++ {
@@ -73,27 +75,27 @@ func TestVictimMatchesReference(t *testing.T) {
 				e.Promote(set, way)
 				ref.promote(set, way)
 			case 1:
-				e.Invalidate(set, way)
+				valid[set] &^= 1 << uint(way)
 				ref.invalidate(set, way)
 			case 2, 3, 4:
 				v := uint8(src.Intn(MaxRRPV + 1))
 				e.SetRRPV(set, way, v)
+				valid[set] |= 1 << uint(way)
 				ref.setRRPV(set, way, v)
 			default:
 				// The common churn: pick a victim, evict it, refill.
-				got, want := e.Victim(set), ref.victim(set)
+				got, want := e.Victim(set, valid[set]), ref.victim(set)
 				if got != want {
 					t.Fatalf("geom %+v step %d: Victim(%d) = %d, reference %d", g, step, set, got, want)
 				}
 				v := uint8(MaxRRPV - src.Intn(2)) // SRRIP/BRRIP-style insertions
-				e.Invalidate(set, got)
-				ref.invalidate(set, want)
 				e.SetRRPV(set, got, v)
+				valid[set] |= 1 << uint(got)
 				ref.setRRPV(set, got, v)
 			}
 			base := set * g.Ways
 			for w := 0; w < g.Ways; w++ {
-				if e.valid[set]&(1<<uint(w)) != 0 && e.rrpv[base+w] != ref.rrpv[base+w] {
+				if valid[set]&(1<<uint(w)) != 0 && e.rrpv[base+w] != ref.rrpv[base+w] {
 					t.Fatalf("geom %+v step %d: rrpv[%d,%d] = %d, reference %d",
 						g, step, set, w, e.rrpv[base+w], ref.rrpv[base+w])
 				}
@@ -106,14 +108,16 @@ func TestVictimMatchesReference(t *testing.T) {
 func TestVictimConsumesInvalidWaysFirst(t *testing.T) {
 	g := Geometry{Sets: 4, Ways: 4, Cores: 1}
 	e := NewEngine(g)
+	var valid uint64
 	for w := 0; w < 4; w++ {
-		if got := e.Victim(0); got != w {
+		if got := e.Victim(0, valid); got != w {
 			t.Fatalf("victim %d on a cold set, want %d", got, w)
 		}
 		e.SetRRPV(0, w, MaxRRPV-1)
+		valid |= 1 << uint(w)
 	}
 	// Full set now: victim must age to distant and pick way 0.
-	if got := e.Victim(0); got != 0 {
+	if got := e.Victim(0, valid); got != 0 {
 		t.Fatalf("victim %d on a full uniform set, want 0", got)
 	}
 	for w := 0; w < 4; w++ {
@@ -121,9 +125,8 @@ func TestVictimConsumesInvalidWaysFirst(t *testing.T) {
 			t.Fatalf("aging did not saturate way %d", w)
 		}
 	}
-	// Invalidating a middle way makes it the next victim again.
-	e.Invalidate(0, 2)
-	if got := e.Victim(0); got != 2 {
+	// An invalid middle way is the next victim again.
+	if got := e.Victim(0, valid&^(1<<2)); got != 2 {
 		t.Fatalf("victim %d with way 2 invalid, want 2", got)
 	}
 }

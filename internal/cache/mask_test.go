@@ -9,10 +9,10 @@ import (
 // refVictimMasked is the brute-force reference for masked victim selection:
 // lowest-indexed invalid masked way, else lowest-indexed masked way holding
 // the masked maximum RRPV.
-func refVictimMasked(e *Engine, set int, mask uint64) int {
+func refVictimMasked(e *Engine, set int, valid, mask uint64) int {
 	base := set * e.geom.Ways
 	for w := 0; w < e.geom.Ways; w++ {
-		if mask&(1<<uint(w)) != 0 && e.valid[set]&(1<<uint(w)) == 0 {
+		if mask&(1<<uint(w)) != 0 && valid&(1<<uint(w)) == 0 {
 			return w
 		}
 	}
@@ -37,9 +37,7 @@ func TestVictimMaskedMatchesReference(t *testing.T) {
 	masks := []uint64{0x0003, 0x00F0, 0xFF00, 0x8421, 0xFFFF}
 	eng := NewEngine(g)
 	e := &eng
-	for core, m := range masks[:4] {
-		e.SetWayMask(core, m)
-	}
+	valid := make([]uint64, g.Sets)
 	src := rng.New(0xC1A55E5)
 	for step := 0; step < 20000; step++ {
 		set := src.Intn(g.Sets)
@@ -47,50 +45,56 @@ func TestVictimMaskedMatchesReference(t *testing.T) {
 		case 0:
 			e.Promote(set, src.Intn(g.Ways))
 		case 1:
-			e.Invalidate(set, src.Intn(g.Ways))
+			valid[set] &^= 1 << uint(src.Intn(g.Ways))
 		case 2, 3:
-			e.SetRRPV(set, src.Intn(g.Ways), uint8(src.Intn(MaxRRPV+1)))
+			way := src.Intn(g.Ways)
+			e.SetRRPV(set, way, uint8(src.Intn(MaxRRPV+1)))
+			valid[set] |= 1 << uint(way)
 		default:
 			mask := masks[src.Intn(len(masks))]
-			want := refVictimMasked(e, set, mask)
-			got := e.victimMasked(set, mask)
+			want := refVictimMasked(e, set, valid[set], mask)
+			got := e.VictimFor(set, valid[set], mask)
 			if got != want {
-				t.Fatalf("step %d: victimMasked(%d, %#x) = %d, reference %d", step, set, mask, got, want)
+				t.Fatalf("step %d: VictimFor(%d, %#x) = %d, reference %d", step, set, mask, got, want)
 			}
 			if mask&(1<<uint(got)) == 0 {
 				t.Fatalf("step %d: victim way %d escaped mask %#x", step, got, mask)
 			}
 			// Churn like a real fill so the state keeps evolving.
-			e.Invalidate(set, got)
 			e.SetRRPV(set, got, uint8(MaxRRPV-src.Intn(2)))
+			valid[set] |= 1 << uint(got)
 		}
 	}
 }
 
-// TestVictimForUnmaskedIsVictim: without masks (or with the full mask)
-// VictimFor must be bit-identical to Victim — the unclustered fast path.
+// TestVictimForUnmaskedIsVictim: with every way a candidate, VictimFor is
+// Victim, and the masked search given the all-ways mask must agree with it
+// too, so a partition covering the whole set changes nothing.
 func TestVictimForUnmaskedIsVictim(t *testing.T) {
 	g := Geometry{Sets: 16, Ways: 8, Cores: 2}
-	a, b := NewEngine(g), NewEngine(g)
-	b.SetWayMask(0, 0xFF) // full mask: still the fast path
+	a, b, c := NewEngine(g), NewEngine(g), NewEngine(g)
+	valid := make([]uint64, g.Sets)
 	src := rng.New(7)
-	ac := &Access{Core: 0}
 	for step := 0; step < 5000; step++ {
 		set := src.Intn(g.Sets)
 		if src.Intn(3) == 0 {
 			way, v := src.Intn(g.Ways), uint8(src.Intn(MaxRRPV+1))
-			a.SetRRPV(set, way, v)
-			b.SetRRPV(set, way, v)
+			for _, e := range []*Engine{&a, &b, &c} {
+				e.SetRRPV(set, way, v)
+			}
+			valid[set] |= 1 << uint(way)
 			continue
 		}
-		va, vb := a.VictimFor(ac, set), b.VictimFor(ac, set)
-		if va != vb {
-			t.Fatalf("step %d: unmasked VictimFor %d != full-mask VictimFor %d", step, va, vb)
+		va := a.Victim(set, valid[set])
+		vb := b.VictimFor(set, valid[set], 0xFF)
+		vc := c.victimMasked(set, valid[set], 0xFF)
+		if va != vb || va != vc {
+			t.Fatalf("step %d: Victim %d, VictimFor %d, all-ways masked search %d", step, va, vb, vc)
 		}
-		a.Invalidate(set, va)
-		b.Invalidate(set, vb)
-		a.SetRRPV(set, va, MaxRRPV-1)
-		b.SetRRPV(set, vb, MaxRRPV-1)
+		for _, e := range []*Engine{&a, &b, &c} {
+			e.SetRRPV(set, va, MaxRRPV-1)
+		}
+		valid[set] |= 1 << uint(va)
 	}
 }
 
@@ -102,9 +106,7 @@ func TestMaskAgingIsPartitionLocal(t *testing.T) {
 	for w := 0; w < 8; w++ {
 		e.SetRRPV(0, w, 0) // all near-immediate: any victim search must age
 	}
-	e.SetWayMask(0, 0x0F)
-	ac := &Access{Core: 0}
-	if got := e.VictimFor(ac, 0); got >= 4 {
+	if got := e.VictimFor(0, 0xFF, 0x0F); got >= 4 {
 		t.Fatalf("victim way %d outside mask 0x0F", got)
 	}
 	for w := 4; w < 8; w++ {

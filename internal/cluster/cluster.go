@@ -251,9 +251,8 @@ type Manager struct {
 
 // New builds a manager for an LLC of the given geometry. apply is invoked
 // once per core at every epoch boundary with the core's new way mask; the
-// simulator passes the LLC policy's SetWayMask (see cache.WayMasker). New
-// panics on invalid configuration — construction happens from vetted
-// sim.Configs.
+// simulator passes the LLC's Cache.SetWayMask. New panics on invalid
+// configuration — construction happens from vetted sim.Configs.
 func New(cfg Config, g cache.Geometry, apply func(core int, mask uint64)) *Manager {
 	if err := cfg.Validate(g.Ways); err != nil {
 		panic(err)
@@ -299,7 +298,7 @@ func (m *Manager) Observe(core int, block uint64, miss bool, wait uint64) {
 }
 
 // reclassify ends an epoch: classify every app from its epoch counters,
-// rebuild the cluster way masks, push them to the policy, and zero the
+// rebuild the cluster way masks, push them to the cache, and zero the
 // epoch counters (stride-detector state carries over).
 func (m *Manager) reclassify() {
 	m.epochs++

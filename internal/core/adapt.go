@@ -142,9 +142,6 @@ func (a *ADAPT) Intervals() uint64 { return a.intervals }
 
 // OnHit promotes demand hits to RRPV 0 and feeds the monitor.
 func (a *ADAPT) OnHit(ac *cache.Access, set, way int) {
-	if !ac.Demand {
-		return
-	}
 	a.Promote(set, way)
 	a.sampler.Observe(ac.Core, set, ac.Block)
 	a.maybeCloseObserved(ac.Core)
@@ -163,12 +160,10 @@ func (a *ADAPT) maybeCloseObserved(core int) {
 	}
 }
 
-// OnMiss feeds the monitor, counts the interval's misses and recomputes
-// priorities at interval boundaries.
+// OnMiss implements cache.MissObserver: it feeds the monitor, counts the
+// interval's demand misses and recomputes priorities at interval
+// boundaries.
 func (a *ADAPT) OnMiss(ac *cache.Access, set int) {
-	if !ac.Demand {
-		return
-	}
 	a.sampler.Observe(ac.Core, set, ac.Block)
 	if a.cfg.GlobalInterval {
 		a.missCount++
@@ -209,13 +204,13 @@ func (a *ADAPT) recomputeOne(core int) {
 
 // FillDecision allocates every fill except the bypassed fraction of
 // Least-priority demand fills in the ADAPT_bp32 variant.
-func (a *ADAPT) FillDecision(ac *cache.Access, set int) (int, bool) {
+func (a *ADAPT) FillDecision(ac *cache.Access, set int, valid, ways uint64) (int, bool) {
 	if a.cfg.Bypass && ac.Demand && a.buckets[ac.Core] == BucketLeast {
 		if !a.lstpEps[ac.Core].Fire() {
 			return -1, false
 		}
 	}
-	return a.VictimFor(ac, set), true
+	return a.VictimFor(set, valid, ways), true
 }
 
 // OnFill applies Table 1's discrete insertion values.
@@ -246,18 +241,13 @@ func (a *ADAPT) OnFill(ac *cache.Access, set, way int) {
 	a.SetRRPV(set, way, v)
 }
 
-// OnEvict implements cache.ReplacementPolicy.
-func (a *ADAPT) OnEvict(set, way int, ev cache.EvictedLine) {
-	a.Invalidate(set, way)
-}
-
-// Hot implements cache.HotPather. ADAPT's OnHit and OnMiss feed the
-// footprint monitor, so both stay on the interface path; OnEvict only
-// invalidates, and ADAPT_ins (no bypass) always allocates at the engine's
-// victim, so those two devirtualize. ADAPT_bp32's FillDecision can decline
-// a fill, keeping it on the interface path.
+// Hot implements cache.HotPather. ADAPT's OnHit feeds the footprint
+// monitor, so hits stay on the interface path. ADAPT_ins (no bypass) always
+// allocates at the engine's victim, so its fill decision devirtualizes;
+// ADAPT_bp32's FillDecision can decline a fill and stays on the interface
+// path.
 func (a *ADAPT) Hot() cache.HotProfile {
-	return cache.HotProfile{Engine: &a.Engine, PlainVictim: !a.cfg.Bypass, PlainEvict: true}
+	return cache.HotProfile{Engine: &a.Engine, PlainVictim: !a.cfg.Bypass}
 }
 
 func init() {

@@ -183,17 +183,19 @@ func TestADAPTInsertionValuesPerBucket(t *testing.T) {
 	// Force buckets directly to test insertion mechanics in isolation.
 	a.buckets = []Bucket{BucketHigh, BucketMedium, BucketLow, BucketLeast}
 
+	var valid uint64 // set 0's valid ways, as the cache would track them
 	countValues := func(core int, fills int) map[uint8]int {
 		counts := map[uint8]int{}
 		set := 0
 		for i := 0; i < fills; i++ {
 			ac := &cache.Access{Block: uint64(i * 64), Core: core, Demand: true}
-			way, ok := a.FillDecision(ac, set)
+			way, ok := a.FillDecision(ac, set, valid, 0b1111)
 			if !ok {
 				counts[255]++ // bypass marker
 				continue
 			}
 			a.OnFill(ac, set, way)
+			valid |= 1 << uint(way)
 			counts[a.RRPVAt(set, way)]++
 		}
 		return counts

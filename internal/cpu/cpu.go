@@ -317,8 +317,10 @@ func (c *Core) RunFunctional(retireAt uint64, mem FunctionalMem) {
 	}
 }
 
-// Drain stalls until all outstanding loads have completed; used when
-// freezing a core's cycle count at its instruction target.
+// Drain stalls until all outstanding loads have completed and returns the
+// resulting clock. The simulator never drains: it freezes a core's cycle
+// count at its instruction target with loads still in flight. Tests use
+// Drain to read when overlapped loads finish.
 func (c *Core) Drain() uint64 {
 	for c.loadCount > 0 {
 		c.drainOldest()

@@ -87,12 +87,7 @@ func (s StudyRuns) bankAggregates(keys []string) map[string][]mem.BankStats {
 				agg = make([]mem.BankStats, len(run.Result.DRAMBanks))
 			}
 			for b, bs := range run.Result.DRAMBanks {
-				agg[b].Accesses += bs.Accesses
-				agg[b].RowHits += bs.RowHits
-				agg[b].RowConflicts += bs.RowConflicts
-				agg[b].Reads += bs.Reads
-				agg[b].Writes += bs.Writes
-				agg[b].QueueCycles += bs.QueueCycles
+				agg[b].Add(bs)
 			}
 		}
 		out[k] = agg
@@ -140,8 +135,7 @@ func (s StudyRuns) RowStateTable(title string, keys []string) Table {
 	for _, k := range keys {
 		var sum mem.BankStats
 		for _, bs := range agg[k] {
-			sum.Accesses += bs.Accesses
-			sum.RowHits += bs.RowHits
+			sum.Add(bs)
 		}
 		all = append(all, cell(sum))
 	}

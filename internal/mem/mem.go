@@ -83,8 +83,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats aggregates access counters across all banks.
-type Stats struct {
+// BankStats counts DRAM traffic: one bank's — the per-bank row-locality
+// record behind Result.DRAMBanks and the Fig. 3 row-state tables — or, summed
+// with Add, several banks'.
+type BankStats struct {
 	Accesses     uint64
 	RowHits      uint64
 	RowConflicts uint64
@@ -93,29 +95,17 @@ type Stats struct {
 	QueueCycles  uint64 // cycles requests spent waiting for a busy bank
 }
 
-// Reset zeroes the counters.
-func (s *Stats) Reset() { *s = Stats{} }
-
-// RowHitRate returns the fraction of accesses that hit an open row.
-func (s Stats) RowHitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.RowHits) / float64(s.Accesses)
+// Add accumulates o's counters into b.
+func (b *BankStats) Add(o BankStats) {
+	b.Accesses += o.Accesses
+	b.RowHits += o.RowHits
+	b.RowConflicts += o.RowConflicts
+	b.Reads += o.Reads
+	b.Writes += o.Writes
+	b.QueueCycles += o.QueueCycles
 }
 
-// BankStats counts one bank's traffic — the per-bank row-locality record
-// behind Result.DRAMBanks and the Fig. 3 row-state tables.
-type BankStats struct {
-	Accesses     uint64
-	RowHits      uint64
-	RowConflicts uint64
-	Reads        uint64
-	Writes       uint64
-	QueueCycles  uint64
-}
-
-// RowHitRate returns the fraction of this bank's accesses that hit an open
+// RowHitRate returns the fraction of the counted accesses that hit an open
 // row.
 func (b BankStats) RowHitRate() float64 {
 	if b.Accesses == 0 {
@@ -156,17 +146,11 @@ func New(cfg Config) *DDR2 {
 // Config returns the model's configuration.
 func (m *DDR2) Config() Config { return m.cfg }
 
-// Stats returns a snapshot of the counters aggregated over all banks.
-func (m *DDR2) Stats() Stats {
-	var s Stats
+// Stats returns a snapshot of the counters summed over all banks.
+func (m *DDR2) Stats() BankStats {
+	var s BankStats
 	for i := range m.banks {
-		b := &m.banks[i].stats
-		s.Accesses += b.Accesses
-		s.RowHits += b.RowHits
-		s.RowConflicts += b.RowConflicts
-		s.Reads += b.Reads
-		s.Writes += b.Writes
-		s.QueueCycles += b.QueueCycles
+		s.Add(m.banks[i].stats)
 	}
 	return s
 }

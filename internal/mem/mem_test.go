@@ -223,8 +223,8 @@ func TestStatsReadsWritesAndReset(t *testing.T) {
 	if st.Reads != 1 || st.Writes != 1 || st.Accesses != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
-	st.Reset()
-	if st.Accesses != 0 || st.RowHits != 0 {
-		t.Fatal("Reset left counters set")
+	m.ResetStats()
+	if st := m.Stats(); st != (BankStats{}) {
+		t.Fatalf("ResetStats left %+v", st)
 	}
 }

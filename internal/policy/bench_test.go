@@ -27,11 +27,11 @@ func BenchmarkVictim(b *testing.B) {
 			e.SetRRPV(set, way, uint8((set+way)%(MaxRRPV+1)))
 		}
 	}
-	mask := benchGeom.Sets - 1
+	mask, full := benchGeom.Sets-1, uint64(1)<<benchGeom.Ways-1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		set := i & mask
-		w := e.Victim(set)
+		w := e.Victim(set, full)
 		e.SetRRPV(set, w, MaxRRPV-1)
 	}
 }
@@ -46,19 +46,19 @@ func BenchmarkVictimDistant(b *testing.B) {
 			e.SetRRPV(set, way, MaxRRPV)
 		}
 	}
-	mask := benchGeom.Sets - 1
+	mask, full := benchGeom.Sets-1, uint64(1)<<benchGeom.Ways-1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		set := i & mask
-		w := e.Victim(set)
+		w := e.Victim(set, full)
 		e.SetRRPV(set, w, MaxRRPV)
 	}
 }
 
 // BenchmarkFillChurn drives a full policy through the LLC's miss path —
 // OnMiss, FillDecision, OnEvict, OnFill, with a sprinkling of OnHit — using
-// a deterministic multi-core access pattern, measuring the end-to-end
-// per-fill bookkeeping cost of each policy.
+// a deterministic multi-core access pattern on a full cache, measuring the
+// end-to-end per-fill bookkeeping cost of each policy.
 func BenchmarkFillChurn(b *testing.B) {
 	for _, name := range []string{"tadrrip", "ship", "eaf", "drrip"} {
 		b.Run(name, func(b *testing.B) {
@@ -66,6 +66,9 @@ func BenchmarkFillChurn(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			miss, _ := p.(cache.MissObserver)
+			evict, _ := p.(cache.EvictObserver)
+			full := uint64(1)<<benchGeom.Ways - 1
 			setMask := uint64(benchGeom.Sets - 1)
 			coreMask := benchGeom.Cores - 1
 			b.ResetTimer()
@@ -83,9 +86,13 @@ func BenchmarkFillChurn(b *testing.B) {
 					p.OnHit(&a, set, i&(benchGeom.Ways-1))
 					continue
 				}
-				p.OnMiss(&a, set)
-				if way, ok := p.FillDecision(&a, set); ok {
-					p.OnEvict(set, way, cache.EvictedLine{Block: a.Block ^ 0xABCD, Core: a.Core})
+				if miss != nil {
+					miss.OnMiss(&a, set)
+				}
+				if way, ok := p.FillDecision(&a, set, full, full); ok {
+					if evict != nil {
+						evict.OnEvict(set, way, cache.EvictedLine{Block: a.Block ^ 0xABCD, Core: a.Core})
+					}
 					p.OnFill(&a, set, way)
 				}
 			}
@@ -105,11 +112,11 @@ func BenchmarkVictimAllWays(b *testing.B) {
 					e.SetRRPV(set, way, uint8((set+way)%(MaxRRPV+1)))
 				}
 			}
-			mask := g.Sets - 1
+			mask, full := g.Sets-1, uint64(1)<<ways-1
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				set := i & mask
-				w := e.Victim(set)
+				w := e.Victim(set, full)
 				e.SetRRPV(set, w, MaxRRPV-1)
 			}
 		})

@@ -158,29 +158,15 @@ func NewDRRIP(g cache.Geometry, opt Options) *DRRIP {
 // Name implements cache.ReplacementPolicy.
 func (p *DRRIP) Name() string { return "drrip" }
 
-// OnHit promotes demand hits.
-func (p *DRRIP) OnHit(a *cache.Access, set, way int) {
-	if a.Demand {
-		p.Promote(set, way)
-	}
-}
-
-// OnMiss updates the dueling selector on demand misses in leader sets.
+// OnMiss implements cache.MissObserver: demand misses in leader sets
+// update the dueling selector.
 func (p *DRRIP) OnMiss(a *cache.Access, set int) {
-	if !a.Demand {
-		return
-	}
 	switch p.duel.role(set) {
 	case leaderSRRIP:
 		p.sel.srripMiss()
 	case leaderBRRIP:
 		p.sel.brripMiss()
 	}
-}
-
-// FillDecision always allocates with the engine's (mask-aware) victim.
-func (p *DRRIP) FillDecision(a *cache.Access, set int) (int, bool) {
-	return p.VictimFor(a, set), true
 }
 
 // OnFill applies the set's policy: leader sets use their dedicated policy,
@@ -211,9 +197,6 @@ func (p *DRRIP) insertValue(core int, useBRRIP bool) uint8 {
 	}
 	return MaxRRPV
 }
-
-// OnEvict implements cache.ReplacementPolicy.
-func (p *DRRIP) OnEvict(set, way int, ev cache.EvictedLine) { p.Invalidate(set, way) }
 
 // PreferBRRIP exposes the selector state for tests.
 func (p *DRRIP) PreferBRRIP() bool { return p.sel.preferBRRIP() }

@@ -101,29 +101,19 @@ func (p *EAF) bloomClear() {
 	p.clears++
 }
 
-// OnHit promotes demand hits.
-func (p *EAF) OnHit(a *cache.Access, set, way int) {
-	if a.Demand {
-		p.Promote(set, way)
-	}
-}
-
-// OnMiss implements cache.ReplacementPolicy.
-func (p *EAF) OnMiss(a *cache.Access, set int) {}
-
 // FillDecision allocates unless the bypass variant is active and the demand
 // fill is absent from the filter (would be a distant insertion). Following
 // the original EAF proposal, a bypassed address is itself recorded in the
 // filter, so a prompt re-reference finds it there and allocates with
 // near-immediate priority — without this, a bypassed block could never
 // become cacheable again.
-func (p *EAF) FillDecision(a *cache.Access, set int) (int, bool) {
+func (p *EAF) FillDecision(a *cache.Access, set int, valid, ways uint64) (int, bool) {
 	if p.bypass && a.Demand && !p.bloomTest(a.Block) {
 		p.distantFills++
 		p.record(a.Block)
 		return -1, false
 	}
-	return p.VictimFor(a, set), true
+	return p.VictimFor(set, valid, ways), true
 }
 
 // record notes an address in the filter, clearing it when it reaches
@@ -152,12 +142,10 @@ func (p *EAF) OnFill(a *cache.Access, set, way int) {
 	p.SetRRPV(set, way, MaxRRPV)
 }
 
-// OnEvict records the evicted address in the filter, clearing the filter
-// once it has absorbed as many addresses as the cache has blocks.
-func (p *EAF) OnEvict(set, way int, ev cache.EvictedLine) {
-	p.Invalidate(set, way)
-	p.record(ev.Block)
-}
+// OnEvict implements cache.EvictObserver: it records the evicted address
+// in the filter, clearing the filter once it has absorbed as many addresses
+// as the cache has blocks.
+func (p *EAF) OnEvict(set, way int, ev cache.EvictedLine) { p.record(ev.Block) }
 
 // Clears returns how many times the filter filled up and was reset.
 func (p *EAF) Clears() uint64 { return p.clears }

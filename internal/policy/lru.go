@@ -1,9 +1,9 @@
 package policy
 
 import (
-	"repro/internal/cache"
+	"math/bits"
 
-	"repro/internal/rng"
+	"repro/internal/cache"
 )
 
 // LRU is true least-recently-used replacement: every fill and every demand
@@ -14,64 +14,38 @@ import (
 type LRU struct {
 	geom  cache.Geometry
 	stamp []uint64
-	valid []bool
 	clock uint64
-	masks []uint64 // per-core fill way masks (cache.WayMasker); nil = off
 }
 
 // NewLRU builds an LRU policy for the given geometry.
 func NewLRU(g cache.Geometry) *LRU {
-	n := g.Sets * g.Ways
-	return &LRU{geom: g, stamp: make([]uint64, n), valid: make([]bool, n)}
+	return &LRU{geom: g, stamp: make([]uint64, g.Sets*g.Ways)}
 }
 
 // Name implements cache.ReplacementPolicy.
 func (p *LRU) Name() string { return "lru" }
 
-func (p *LRU) idx(set, way int) int { return set*p.geom.Ways + way }
-
-// OnHit promotes the line to MRU. Only demand references update recency,
-// matching the paper's footnote 4.
+// OnHit promotes the line to MRU (the cache calls it for demand hits only,
+// matching the paper's footnote 4).
 func (p *LRU) OnHit(a *cache.Access, set, way int) {
-	if !a.Demand {
-		return
-	}
 	p.clock++
-	p.stamp[p.idx(set, way)] = p.clock
-}
-
-// OnMiss implements cache.ReplacementPolicy (no dueling state in LRU).
-func (p *LRU) OnMiss(a *cache.Access, set int) {}
-
-// SetWayMask implements cache.WayMasker: core's fills victimise only the
-// masked ways (0 = unrestricted).
-func (p *LRU) SetWayMask(core int, mask uint64) {
-	if p.masks == nil {
-		p.masks = make([]uint64, p.geom.Cores)
-	}
-	p.masks[core] = mask & ((uint64(1) << p.geom.Ways) - 1)
+	p.stamp[set*p.geom.Ways+way] = p.clock
 }
 
 // FillDecision always allocates; LRU has no bypass opportunity because every
-// insertion is at MRU (paper §5.3). The victim is the least recently used
-// way within the filling core's way mask (all ways when unmasked).
-func (p *LRU) FillDecision(a *cache.Access, set int) (int, bool) {
-	mask := ^uint64(0)
-	if p.masks != nil && p.masks[a.Core] != 0 {
-		mask = p.masks[a.Core]
+// insertion is at MRU (paper §5.3). The victim is the lowest invalid
+// candidate way, else the candidate with the oldest stamp, the lowest way
+// winning ties.
+func (p *LRU) FillDecision(a *cache.Access, set int, valid, ways uint64) (int, bool) {
+	if inv := ways &^ valid; inv != 0 {
+		return bits.TrailingZeros64(inv), true
 	}
 	base := set * p.geom.Ways
 	victim, oldest := -1, uint64(0)
-	for w := 0; w < p.geom.Ways; w++ {
-		if mask&(1<<uint(w)) == 0 {
-			continue
-		}
-		i := base + w
-		if !p.valid[i] {
-			return w, true
-		}
-		if victim == -1 || p.stamp[i] < oldest {
-			victim, oldest = w, p.stamp[i]
+	for m := ways; m != 0; m &= m - 1 {
+		w := bits.TrailingZeros64(m)
+		if s := p.stamp[base+w]; victim < 0 || s < oldest {
+			victim, oldest = w, s
 		}
 	}
 	return victim, true
@@ -80,70 +54,5 @@ func (p *LRU) FillDecision(a *cache.Access, set int) (int, bool) {
 // OnFill installs the new line at MRU.
 func (p *LRU) OnFill(a *cache.Access, set, way int) {
 	p.clock++
-	i := p.idx(set, way)
-	p.stamp[i] = p.clock
-	p.valid[i] = true
-}
-
-// OnEvict implements cache.ReplacementPolicy.
-func (p *LRU) OnEvict(set, way int, ev cache.EvictedLine) {
-	p.valid[p.idx(set, way)] = false
-}
-
-// StackPosition returns the recency rank of (set, way): 0 = MRU. Exposed for
-// tests and for utility-monitor style analyses.
-func (p *LRU) StackPosition(set, way int) int {
-	base := set * p.geom.Ways
-	me := p.stamp[p.idx(set, way)]
-	rank := 0
-	for w := 0; w < p.geom.Ways; w++ {
-		if p.valid[base+w] && p.stamp[base+w] > me {
-			rank++
-		}
-	}
-	return rank
-}
-
-// Random replacement: victim chosen uniformly among ways (invalid first).
-// Not part of the paper's comparison; kept as a sanity baseline for tests
-// and ablations.
-type Random struct {
-	geom  cache.Geometry
-	valid []bool
-	src   *rng.Source
-}
-
-// NewRandom builds a random-replacement policy with a deterministic seed.
-func NewRandom(g cache.Geometry, seed uint64) *Random {
-	return &Random{geom: g, valid: make([]bool, g.Sets*g.Ways), src: rng.New(seed ^ 0x9E3779B97F4A7C15)}
-}
-
-// Name implements cache.ReplacementPolicy.
-func (p *Random) Name() string { return "random" }
-
-// OnHit implements cache.ReplacementPolicy.
-func (p *Random) OnHit(a *cache.Access, set, way int) {}
-
-// OnMiss implements cache.ReplacementPolicy.
-func (p *Random) OnMiss(a *cache.Access, set int) {}
-
-// FillDecision picks an invalid way if present, else a uniformly random way.
-func (p *Random) FillDecision(a *cache.Access, set int) (int, bool) {
-	base := set * p.geom.Ways
-	for w := 0; w < p.geom.Ways; w++ {
-		if !p.valid[base+w] {
-			return w, true
-		}
-	}
-	return p.src.Intn(p.geom.Ways), true
-}
-
-// OnFill implements cache.ReplacementPolicy.
-func (p *Random) OnFill(a *cache.Access, set, way int) {
-	p.valid[set*p.geom.Ways+way] = true
-}
-
-// OnEvict implements cache.ReplacementPolicy.
-func (p *Random) OnEvict(set, way int, ev cache.EvictedLine) {
-	p.valid[set*p.geom.Ways+way] = false
+	p.stamp[set*p.geom.Ways+way] = p.clock
 }

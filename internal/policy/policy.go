@@ -143,9 +143,6 @@ func init() {
 	Register("lru", func(g cache.Geometry, opt Options) cache.ReplacementPolicy {
 		return NewLRU(g)
 	})
-	Register("random", func(g cache.Geometry, opt Options) cache.ReplacementPolicy {
-		return NewRandom(g, opt.Seed)
-	})
 	Register("srrip", func(g cache.Geometry, opt Options) cache.ReplacementPolicy {
 		return NewSRRIP(g)
 	})

@@ -26,7 +26,7 @@ func demand(block uint64, core int, pc uint64) *cache.Access {
 }
 
 func TestRegistryKnowsAllBaselines(t *testing.T) {
-	want := []string{"lru", "random", "srrip", "brrip", "drrip", "tadrrip",
+	want := []string{"lru", "srrip", "brrip", "drrip", "tadrrip",
 		"tadrrip-sd128", "tadrrip-bp", "ship", "ship-bp", "eaf", "eaf-bp"}
 	names := Names()
 	have := map[string]bool{}
@@ -100,7 +100,7 @@ func TestRRIPEngineVictimPrefersInvalid(t *testing.T) {
 	e.SetRRPV(0, 0, 3)
 	e.SetRRPV(0, 1, 3)
 	// Ways 2 and 3 never filled -> invalid, must be chosen first.
-	if w := e.Victim(0); w != 2 {
+	if w := e.Victim(0, 0b0011); w != 2 {
 		t.Fatalf("victim = %d, want first invalid way 2", w)
 	}
 }
@@ -111,7 +111,7 @@ func TestRRIPEngineAging(t *testing.T) {
 		e.SetRRPV(0, w, 0)
 	}
 	// No line at MaxRRPV: engine must age everyone up to 3 then pick way 0.
-	if w := e.Victim(0); w != 0 {
+	if w := e.Victim(0, 0b1111); w != 0 {
 		t.Fatalf("victim = %d, want 0", w)
 	}
 	for w := 0; w < 4; w++ {
@@ -218,26 +218,6 @@ func TestBRRIPRetainsFractionOfThrashingSet(t *testing.T) {
 	}
 }
 
-func TestLRUStackPosition(t *testing.T) {
-	g := geom(1, 4, 1)
-	p := NewLRU(g)
-	c := newCache(t, g, p)
-	for b := uint64(0); b < 4; b++ {
-		c.Access(demand(b, 0, 0))
-	}
-	// Block 3 was last touched: way 3 is MRU (rank 0); way 0 is LRU (rank 3).
-	if r := p.StackPosition(0, 3); r != 0 {
-		t.Fatalf("way 3 rank = %d, want 0", r)
-	}
-	if r := p.StackPosition(0, 0); r != 3 {
-		t.Fatalf("way 0 rank = %d, want 3", r)
-	}
-	c.Access(demand(0, 0, 0)) // touch block 0 -> MRU
-	if r := p.StackPosition(0, 0); r != 0 {
-		t.Fatalf("after touch, way 0 rank = %d, want 0", r)
-	}
-}
-
 func TestLRUVictimIsLeastRecent(t *testing.T) {
 	g := geom(1, 3, 1)
 	p := NewLRU(g)
@@ -263,20 +243,5 @@ func TestNonDemandDoesNotPromoteLRU(t *testing.T) {
 	res := c.Access(demand(2, 0, 0))
 	if !res.EvictedValid || res.Evicted.Block != 0 {
 		t.Fatalf("prefetch hit refreshed recency: evicted %+v, want block 0", res)
-	}
-}
-
-func TestRandomPolicyFillsInvalidFirst(t *testing.T) {
-	g := geom(1, 4, 1)
-	p := NewRandom(g, 42)
-	c := newCache(t, g, p)
-	for b := uint64(0); b < 4; b++ {
-		res := c.Access(demand(b, 0, 0))
-		if res.EvictedValid {
-			t.Fatal("random policy evicted while invalid ways remained")
-		}
-	}
-	if c.ValidLines() != 4 {
-		t.Fatalf("valid lines = %d, want 4", c.ValidLines())
 	}
 }

@@ -7,6 +7,8 @@ import "repro/internal/cache"
 // demand hits promote to 0 ("near-immediate"), victims are lines with RRPV
 // MaxRRPV. SRRIP handles mixed and scan access patterns but thrashes on
 // working sets larger than the cache — the failure mode ADAPT targets.
+// Hits and victims are the embedded engine's; SRRIP adds only its name and
+// insertion value.
 type SRRIP struct {
 	cache.Engine
 }
@@ -19,21 +21,6 @@ func NewSRRIP(g cache.Geometry) *SRRIP {
 // Name implements cache.ReplacementPolicy.
 func (p *SRRIP) Name() string { return "srrip" }
 
-// OnHit promotes demand hits to RRPV 0.
-func (p *SRRIP) OnHit(a *cache.Access, set, way int) {
-	if a.Demand {
-		p.Promote(set, way)
-	}
-}
-
-// OnMiss implements cache.ReplacementPolicy.
-func (p *SRRIP) OnMiss(a *cache.Access, set int) {}
-
-// FillDecision always allocates with the engine's (mask-aware) victim.
-func (p *SRRIP) FillDecision(a *cache.Access, set int) (int, bool) {
-	return p.VictimFor(a, set), true
-}
-
 // OnFill inserts demand fills at MaxRRPV-1.
 func (p *SRRIP) OnFill(a *cache.Access, set, way int) {
 	if a.Demand {
@@ -42,9 +29,6 @@ func (p *SRRIP) OnFill(a *cache.Access, set, way int) {
 	}
 	p.SetRRPV(set, way, NonDemandRRPV(a))
 }
-
-// OnEvict implements cache.ReplacementPolicy.
-func (p *SRRIP) OnEvict(set, way int, ev cache.EvictedLine) { p.Invalidate(set, way) }
 
 // BRRIP implements Bimodal RRIP: demand fills are inserted with the distant
 // value MaxRRPV, except one fill in BRRIPEpsilonPeriod which is inserted
@@ -68,21 +52,6 @@ func NewBRRIP(g cache.Geometry) *BRRIP {
 // Name implements cache.ReplacementPolicy.
 func (p *BRRIP) Name() string { return "brrip" }
 
-// OnHit promotes demand hits to RRPV 0.
-func (p *BRRIP) OnHit(a *cache.Access, set, way int) {
-	if a.Demand {
-		p.Promote(set, way)
-	}
-}
-
-// OnMiss implements cache.ReplacementPolicy.
-func (p *BRRIP) OnMiss(a *cache.Access, set int) {}
-
-// FillDecision always allocates with the engine's (mask-aware) victim.
-func (p *BRRIP) FillDecision(a *cache.Access, set int) (int, bool) {
-	return p.VictimFor(a, set), true
-}
-
 // OnFill inserts demand fills bimodally (1/32 at long, rest at distant).
 func (p *BRRIP) OnFill(a *cache.Access, set, way int) {
 	if !a.Demand {
@@ -95,6 +64,3 @@ func (p *BRRIP) OnFill(a *cache.Access, set, way int) {
 	}
 	p.SetRRPV(set, way, v)
 }
-
-// OnEvict implements cache.ReplacementPolicy.
-func (p *BRRIP) OnEvict(set, way int, ev cache.EvictedLine) { p.Invalidate(set, way) }

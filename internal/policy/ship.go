@@ -115,9 +115,6 @@ func (p *SHiP) trainSlot(set, way int) int {
 
 // OnHit promotes demand hits and trains the SHCT positively in sampled sets.
 func (p *SHiP) OnHit(a *cache.Access, set, way int) {
-	if !a.Demand {
-		return
-	}
 	p.Promote(set, way)
 	if slot := p.trainSlot(set, way); slot >= 0 {
 		if tr := &p.train[slot]; tr.valid && !tr.reused {
@@ -128,9 +125,6 @@ func (p *SHiP) OnHit(a *cache.Access, set, way int) {
 		}
 	}
 }
-
-// OnMiss implements cache.ReplacementPolicy.
-func (p *SHiP) OnMiss(a *cache.Access, set int) {}
 
 // predictDistant reports whether the fill's signature has never shown reuse.
 func (p *SHiP) predictDistant(a *cache.Access) bool {
@@ -146,11 +140,11 @@ func (p *SHiP) predictDistant(a *cache.Access) bool {
 // a demand insertion predicted distant. Training (sampled) sets always
 // allocate so the SHCT can keep learning: without this, a signature that
 // reaches zero would be bypassed forever with no path back.
-func (p *SHiP) FillDecision(a *cache.Access, set int) (int, bool) {
+func (p *SHiP) FillDecision(a *cache.Access, set int, valid, ways uint64) (int, bool) {
 	if p.bypass && a.Demand && p.trainIdx[set] < 0 && p.predictDistant(a) {
 		return -1, false
 	}
-	return p.VictimFor(a, set), true
+	return p.VictimFor(set, valid, ways), true
 }
 
 // OnFill inserts per the SHCT prediction and records training state in
@@ -179,9 +173,9 @@ func (p *SHiP) OnFill(a *cache.Access, set, way int) {
 	}
 }
 
-// OnEvict trains the SHCT negatively for lines that die without reuse.
+// OnEvict implements cache.EvictObserver: it trains the SHCT negatively
+// for lines that die without reuse.
 func (p *SHiP) OnEvict(set, way int, ev cache.EvictedLine) {
-	p.Invalidate(set, way)
 	if slot := p.trainSlot(set, way); slot >= 0 {
 		if tr := &p.train[slot]; tr.valid {
 			if !tr.reused {

@@ -73,19 +73,9 @@ func (p *TADRRIP) anyForced() bool {
 // SD returns the effective leader-set count per policy per thread.
 func (p *TADRRIP) SD() int { return p.sdValue }
 
-// OnHit promotes demand hits.
-func (p *TADRRIP) OnHit(a *cache.Access, set, way int) {
-	if a.Demand {
-		p.Promote(set, way)
-	}
-}
-
-// OnMiss updates the owning thread's PSEL when the miss lands in one of its
-// own leader sets.
+// OnMiss implements cache.MissObserver: it updates the owning thread's PSEL
+// when a demand miss lands in one of that thread's own leader sets.
 func (p *TADRRIP) OnMiss(a *cache.Access, set int) {
-	if !a.Demand {
-		return
-	}
 	role := p.duel.role(set)
 	if role == follower || p.duel.owner(set) != a.Core {
 		return
@@ -112,11 +102,11 @@ func (p *TADRRIP) useBRRIPFor(core, set int) bool {
 
 // FillDecision allocates unless the bypass variant is active and the fill
 // would be a distant-value demand insertion.
-func (p *TADRRIP) FillDecision(a *cache.Access, set int) (int, bool) {
+func (p *TADRRIP) FillDecision(a *cache.Access, set int, valid, ways uint64) (int, bool) {
 	if p.bypass && a.Demand && p.useBRRIPFor(a.Core, set) && !p.eps[a.Core].Fire() {
 		return -1, false
 	}
-	return p.VictimFor(a, set), true
+	return p.VictimFor(set, valid, ways), true
 }
 
 // OnFill applies the resolved insertion policy.
@@ -141,9 +131,6 @@ func (p *TADRRIP) OnFill(a *cache.Access, set, way int) {
 	}
 	p.SetRRPV(set, way, MaxRRPV)
 }
-
-// OnEvict implements cache.ReplacementPolicy.
-func (p *TADRRIP) OnEvict(set, way int, ev cache.EvictedLine) { p.Invalidate(set, way) }
 
 // PreferBRRIP exposes a thread's selector state for tests and diagnostics.
 func (p *TADRRIP) PreferBRRIP(core int) bool { return p.sels[core].preferBRRIP() }

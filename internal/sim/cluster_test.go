@@ -96,15 +96,3 @@ func TestClusterDeterminism(t *testing.T) {
 		})
 	}
 }
-
-// TestClusterRequiresWayMasker: enabling clustering over a policy that
-// cannot honour way masks must fail loudly at construction.
-func TestClusterRequiresWayMasker(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("System.New accepted clustering over the random policy (no WayMasker)")
-		}
-	}()
-	cfg := clusterTestConfig(2, "random")
-	NewFromNames(cfg, []string{"calc", "mcf"})
-}

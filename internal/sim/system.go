@@ -69,25 +69,21 @@ func New(cfg Config, gens []trace.Generator) *System {
 		panic(err)
 	}
 
+	llc := cache.New(cache.Config{
+		Name:       "llc",
+		Geometry:   llcGeom,
+		BlockBytes: cfg.BlockBytes,
+		HitLatency: cfg.LLCLatency,
+	}, llcPol)
 	var clusterMgr *cluster.Manager
 	if cfg.Cluster.Enabled() {
-		masker, ok := llcPol.(cache.WayMasker)
-		if !ok {
-			panic(fmt.Sprintf("sim: LLC policy %q does not support way masks (cache.WayMasker) required by clustering mode %q",
-				cfg.LLCPolicy, cfg.Cluster.Mode))
-		}
-		clusterMgr = cluster.New(cfg.Cluster, llcGeom, masker.SetWayMask)
+		clusterMgr = cluster.New(cfg.Cluster, llcGeom, llc.SetWayMask)
 	}
 
 	s := &System{cfg: cfg, gens: gens}
 	s.sub = &sharedSubstrate{
-		cfg: &s.cfg,
-		llc: cache.New(cache.Config{
-			Name:       "llc",
-			Geometry:   llcGeom,
-			BlockBytes: cfg.BlockBytes,
-			HitLatency: cfg.LLCLatency,
-		}, llcPol),
+		cfg:     &s.cfg,
+		llc:     llc,
 		dram:    mem.New(cfg.Mem),
 		arb:     arbiter.New(cfg.Arb),
 		cluster: clusterMgr,
