@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -242,14 +243,8 @@ func TestNonDemandNeverTrainsPolicy(t *testing.T) {
 	c.WritebackNoAllocate(&Access{Block: 3, Write: true})     // non-allocating miss
 	c.Access(&Access{Block: 1, Demand: true})                 // demand hit
 	c.Access(&Access{Block: 5, Demand: true})                 // demand miss
-	want := []string{"fill", "fill", "hit", "miss", "evict", "fill"}
-	if len(p.calls) != len(want) {
+	if want := []string{"fill", "fill", "hit", "miss", "evict", "fill"}; !slices.Equal(p.calls, want) {
 		t.Fatalf("callback sequence %v, want %v", p.calls, want)
-	}
-	for i := range want {
-		if p.calls[i] != want[i] {
-			t.Fatalf("callback sequence %v, want %v", p.calls, want)
-		}
 	}
 }
 
