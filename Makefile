@@ -45,7 +45,10 @@ bench:
 
 # CI smoke: regenerate a representative figure set at Tiny fidelity
 # through the shared scheduler and emit the structured artifacts CI
-# uploads (BENCH_paperfig_*.json, with scheduler counters), plus one-shot
+# uploads (BENCH_paperfig_*.json, with scheduler counters). A warm re-run
+# of Figure 1 on the same .simcache must be served wholly from the store:
+# its BENCH_paperfig_fig1_warm.json must read executed == 0 and
+# disk_hits == submitted > 0, or the target fails. Then come one-shot
 # benchmarks (-benchtime 1x: a smoke that the benches run, not a timing
 # claim; perf/ is the timed benchmark) kept as BENCH_*.txt:
 # BENCH_policy_victim.txt for the policy layer, BENCH_sim_substrate.txt
@@ -58,6 +61,8 @@ bench:
 bench-smoke: build
 	$(GO) run ./cmd/paperfig -fig 1 -tiny -stats -cache-dir .simcache -json BENCH_paperfig_fig1.json
 	$(GO) run ./cmd/paperfig -fig 6 -tiny -stats -cache-dir .simcache -json BENCH_paperfig_fig6.json
+	$(GO) run ./cmd/paperfig -fig 1 -tiny -stats -cache-dir .simcache -json BENCH_paperfig_fig1_warm.json
+	python3 -c "import json,sys; s=json.load(open(sys.argv[1]))['scheduler']; ok=s['executed'] == 0 and s['submitted'] > 0 and s['disk_hits'] == s['submitted']; sys.exit(0 if ok else 'bench-smoke: warm Figure 1 re-run was not served wholly from the store: %s' % s)" BENCH_paperfig_fig1_warm.json
 	$(GO) test -bench 'Victim|FillChurn' -benchtime 1x -run '^$$' ./internal/policy > BENCH_policy_victim.txt || { cat BENCH_policy_victim.txt; exit 1; }
 	cat BENCH_policy_victim.txt
 	$(GO) test -bench 'RunMix16' -benchtime 1x -run '^$$' ./internal/sim > BENCH_sim_substrate.txt || { cat BENCH_sim_substrate.txt; exit 1; }

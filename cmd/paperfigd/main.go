@@ -7,15 +7,15 @@
 //
 // Endpoints (see internal/serve): POST /v1/tables streams experiment
 // tables as NDJSON; GET /statsz and /metrics expose scheduler and store
-// observability; GET /healthz is the liveness probe. The store is groomed
-// once at startup (stale-schema eviction, duplicate-line compaction, size
-// cap).
+// observability; GET /healthz is the liveness probe. At startup the store's
+// append-only log is loaded into the scheduler's result map; each executed
+// job appends one line, and the daemon never rewrites, compacts or caps
+// the store.
 //
 // Flags:
 //
 //	-addr ADDR            listen address            (default :8090)
 //	-cache-dir DIR        segment store root        (default .simcache, "" = off)
-//	-cache-max-bytes N    store size cap            (default 2 GiB, <0 = uncapped)
 //	-parallel N           scheduler worker width    (default GOMAXPROCS)
 //	-drain-timeout DUR    graceful shutdown budget  (default 2m)
 //
@@ -44,11 +44,10 @@ import (
 
 func main() {
 	var (
-		addr          = flag.String("addr", ":8090", "listen address")
-		cacheDir      = flag.String("cache-dir", schedule.DefaultCacheDir, "on-disk segment store root (empty disables the disk tier)")
-		cacheMaxBytes = flag.Int64("cache-max-bytes", serve.DefaultStoreMaxBytes, "store size cap enforced by the startup maintenance pass (<0 = uncapped)")
-		parallel      = flag.Int("parallel", 0, "scheduler worker pool width (0 = GOMAXPROCS)")
-		drainTimeout  = flag.Duration("drain-timeout", 2*time.Minute, "graceful shutdown budget for in-flight requests")
+		addr         = flag.String("addr", ":8090", "listen address")
+		cacheDir     = flag.String("cache-dir", schedule.DefaultCacheDir, "on-disk segment store root (empty disables the disk tier)")
+		parallel     = flag.Int("parallel", 0, "scheduler worker pool width (0 = GOMAXPROCS)")
+		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "graceful shutdown budget for in-flight requests")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "", log.LstdFlags)
@@ -61,10 +60,9 @@ func main() {
 	}
 
 	srv, err := serve.New(serve.Config{
-		Scheduler:     sched,
-		CacheDir:      *cacheDir,
-		StoreMaxBytes: *cacheMaxBytes,
-		Log:           logger,
+		Scheduler: sched,
+		CacheDir:  *cacheDir,
+		Log:       logger,
 	})
 	if err != nil {
 		logger.Fatalf("paperfigd: %v", err)

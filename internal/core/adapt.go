@@ -27,7 +27,10 @@ type Config struct {
 	// shared interval under-samples light applications (their footprint
 	// reads near zero regardless of behaviour) exactly as the paper's §3.1
 	// "sizing of this interval is critical" discussion warns.
-	// `paperfig -ablation interval` measures both schemes.
+	// `paperfig -ablation interval` (AblationInterval) sweeps the interval
+	// of the default scheme only; no harness runs this one, only tests
+	// do. ROADMAP.md's first open item ("ADAPT must actually adapt at the
+	// fidelities the harnesses run") lists it as a candidate fix.
 	GlobalInterval bool
 	// MonitoredSets and ArrayEntries size the Sampler (40 and 16 if zero).
 	MonitoredSets int
@@ -257,8 +260,9 @@ func init() {
 	policy.Register("adapt-ins", func(g cache.Geometry, opt policy.Options) cache.ReplacementPolicy {
 		return NewADAPT(configFromOptions(g, opt, false, false))
 	})
-	// The paper-literal global-interval variants, kept for the interval
-	// ablation and for comparison (see Config.GlobalInterval).
+	// The paper-literal global-interval variants (see
+	// Config.GlobalInterval). No harness runs them, only tests do;
+	// ROADMAP.md's first open item lists adapt-global as a candidate fix.
 	policy.Register("adapt-global", func(g cache.Geometry, opt policy.Options) cache.ReplacementPolicy {
 		return NewADAPT(configFromOptions(g, opt, true, true))
 	})

@@ -61,22 +61,12 @@ func MaxSlowdown(shared, alone []float64) float64 {
 	return max
 }
 
-// HarmonicWeightedSpeedup returns n / Σ slowdown_i — the harmonic mean of
-// the per-application speedups, which rewards both throughput and fairness
-// (a single badly-starved app drags it down where plain weighted speedup
-// hides the victim in the sum). Algebraically identical to HMeanNormalized;
-// stated under its fairness-literature name so the comparison tables read
-// against LFOC's evaluation.
-func HarmonicWeightedSpeedup(shared, alone []float64) float64 {
-	return HMeanNormalized(shared, alone)
-}
-
 // FairnessReport bundles the fairness aggregates for one workload under one
 // policy, ready for table emission.
 type FairnessReport struct {
 	Unfairness  float64   // max/min slowdown; 1.0 = perfectly fair
 	MaxSlowdown float64   // worst single-app slowdown
-	HWSpeedup   float64   // harmonic weighted speedup
+	HWSpeedup   float64   // harmonic weighted speedup, n / Σ slowdown
 	WSpeedup    float64   // plain weighted speedup (throughput reference)
 	Slowdowns   []float64 // per-app slowdown vector (0 = unmeasured)
 }
@@ -86,7 +76,7 @@ func Fairness(shared, alone []float64) FairnessReport {
 	return FairnessReport{
 		Unfairness:  Unfairness(shared, alone),
 		MaxSlowdown: MaxSlowdown(shared, alone),
-		HWSpeedup:   HarmonicWeightedSpeedup(shared, alone),
+		HWSpeedup:   HMeanNormalized(shared, alone),
 		WSpeedup:    WeightedSpeedup(shared, alone),
 		Slowdowns:   Slowdowns(shared, alone),
 	}

@@ -41,19 +41,15 @@ func TestMaxSlowdown(t *testing.T) {
 	}
 }
 
-// TestHarmonicWeightedSpeedup pins both the formula (n / Σ slowdown) and
-// its equivalence with HMeanNormalized — it is the same quantity under its
-// fairness-literature name.
+// TestHarmonicWeightedSpeedup pins the fairness report's HWS column to its
+// formula, n / Σ slowdown.
 func TestHarmonicWeightedSpeedup(t *testing.T) {
 	shared := []float64{1, 1.5, 0.8}
 	alone := []float64{2, 2, 1}
 	wantDen := 2.0/1 + 2/1.5 + 1/0.8
 	want := 3 / wantDen
-	if got := HarmonicWeightedSpeedup(shared, alone); !approx(got, want) {
+	if got := Fairness(shared, alone).HWSpeedup; !approx(got, want) {
 		t.Errorf("HWS %g, want %g", got, want)
-	}
-	if got, hm := HarmonicWeightedSpeedup(shared, alone), HMeanNormalized(shared, alone); !approx(got, hm) {
-		t.Errorf("HWS %g != HMeanNormalized %g", got, hm)
 	}
 }
 

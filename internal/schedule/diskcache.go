@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -31,23 +30,17 @@ type segEntry struct {
 	Result  sim.Result `json:"result"`
 }
 
-// diskCache is the optional second tier of the result store: one
-// append-only segment file per study (Job.Segment) instead of one JSON
+// diskCache is the optional on-disk log behind the scheduler's result map:
+// one append-only segment file per study (Job.Segment) instead of one JSON
 // file per job, so a 128-core -fig 8 grid leaves a handful of segments
 // behind, not thousands of inodes.
 //
-// All entries are loaded into an in-memory index when the cache is opened;
-// reads are index lookups, writes are single O_APPEND line writes (atomic
-// for our line sizes on POSIX), so concurrent writers — even from separate
-// processes sharing a cache dir — interleave whole lines. A torn or
-// corrupt trailing line (crash mid-append) is skipped and counted at the
-// next open, never served.
+// Writes are single O_APPEND line writes (atomic for our line sizes on
+// POSIX), so concurrent writers — even from separate processes sharing a
+// cache dir — interleave whole lines. Nothing else ever rewrites or
+// removes a segment; readSegments loads them when the dir is opened.
 type diskCache struct {
-	dir string // schema-qualified root, e.g. .simcache/job-v3+sim-config-v1
-
-	mu      sync.Mutex
-	index   map[string]sim.Result
-	corrupt uint64 // unusable lines seen while loading; fixed once opened
+	dir string // schema-qualified root, e.g. .simcache/job-v5+sim-config-v1
 }
 
 // schemaSlug makes KeySchema filesystem-safe.
@@ -78,25 +71,24 @@ func newDiskCache(root string) (*diskCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("schedule: cache dir: %w", err)
 	}
-	d := &diskCache{dir: dir, index: map[string]sim.Result{}}
-	if err := d.load(); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return &diskCache{dir: dir}, nil
 }
 
-// load scans every segment file under the cache dir into the index.
-// Unusable lines — torn appends, stale schemas, hand-edited garbage — are
-// counted and skipped, never fatal: the cache is best-effort by contract.
-func (d *diskCache) load() error {
-	matches, err := filepath.Glob(filepath.Join(d.dir, "*.seg"))
+// readSegments passes every usable line of the segment files in dir to
+// add and returns how many lines it skipped. Unusable lines — torn
+// appends, stale schemas, hand-edited garbage — are skipped, never fatal:
+// the cache is best-effort by contract. A key may appear on several lines
+// (two processes that executed the same job each append it); the results
+// are identical, so add may keep any one of them.
+func readSegments(dir string, add func(key string, r sim.Result)) (skipped uint64, err error) {
+	matches, err := filepath.Glob(filepath.Join(dir, "*.seg"))
 	if err != nil {
-		return fmt.Errorf("schedule: scan cache dir: %w", err)
+		return 0, fmt.Errorf("schedule: scan cache dir: %w", err)
 	}
 	for _, path := range matches {
 		f, err := os.Open(path)
 		if err != nil {
-			d.corrupt++
+			skipped++
 			continue
 		}
 		sc := bufio.NewScanner(f)
@@ -108,33 +100,22 @@ func (d *diskCache) load() error {
 			}
 			var e segEntry
 			if json.Unmarshal(line, &e) != nil || e.Schema != KeySchema || e.Key == "" {
-				d.corrupt++
+				skipped++
 				continue
 			}
-			d.index[e.Key] = e.Result
+			add(e.Key, e.Result)
 		}
 		if sc.Err() != nil {
-			d.corrupt++
+			skipped++
 		}
 		f.Close()
 	}
-	return nil
+	return skipped, nil
 }
 
-// read returns (result, true) when the key was present in any segment at
-// open time or was written through this cache since.
-func (d *diskCache) read(key string) (sim.Result, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	r, ok := d.index[key]
-	return r, ok
-}
-
-// write appends the entry to its segment file as one JSON line and — only
-// once the append has fully succeeded — indexes it. Indexing first would
-// let the process serve a result it believes is durable but that vanishes
-// on restart. The open-append-close per write keeps no fds captive between
-// runs; one append per executed simulation is noise next to the simulation.
+// write appends the entry to its segment file as one JSON line. The
+// open-append-close per write keeps no fds captive between runs; one
+// append per executed simulation is noise next to the simulation.
 func (d *diskCache) write(key string, j Job, r sim.Result) error {
 	e := segEntry{
 		Schema:  KeySchema,
@@ -161,12 +142,20 @@ func (d *diskCache) write(key string, j Job, r sim.Result) error {
 	if werr != nil {
 		return werr
 	}
-	if cerr != nil {
-		return cerr
-	}
+	return cerr
+}
 
-	d.mu.Lock()
-	d.index[key] = r
-	d.mu.Unlock()
-	return nil
+// StoreBytes returns the size on disk of the current-schema segment files
+// under a cache root (the directory handed to SetCacheDir). Segments of
+// other schemas, and files outside the current schema's directory, do not
+// count.
+func StoreBytes(root string) int64 {
+	segs, _ := filepath.Glob(filepath.Join(root, schemaSlug(), "*.seg"))
+	var n int64
+	for _, p := range segs {
+		if st, err := os.Stat(p); err == nil {
+			n += st.Size()
+		}
+	}
+	return n
 }

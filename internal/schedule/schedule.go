@@ -14,10 +14,11 @@
 //     warm-up/measure budgets. Keys are valid across processes.
 //   - Singleflight execution: concurrent callers requesting the same key
 //     share one execution; latecomers block on the leader's result.
-//   - A two-tier result store: an in-memory map for intra-process reuse
-//     and an optional on-disk JSON cache (SetCacheDir, conventionally
-//     .simcache/) versioned by the key schema, so cmd/paperfig re-runs are
-//     incremental across invocations.
+//   - One result map, optionally backed by an append-only log on disk
+//     (SetCacheDir, conventionally .simcache/) versioned by the key
+//     schema, so cmd/paperfig re-runs are incremental across invocations.
+//     Opening a cache dir loads its log into the map; each executed job
+//     appends one line, and nothing else touches the files.
 //
 // Flights always settle: a panicking job becomes a *PanicError that every
 // caller on the key re-panics with, never a wedged key or a leaked pool
@@ -110,13 +111,14 @@ type Stats struct {
 	Submitted uint64 `json:"submitted"`
 	// Executed counts jobs that actually simulated.
 	Executed uint64 `json:"executed"`
-	// MemHits / DiskHits count store hits per tier.
+	// DiskHits counts the first hit on each result loaded from the
+	// on-disk log; MemHits counts every other hit on the result map.
 	MemHits  uint64 `json:"mem_hits"`
 	DiskHits uint64 `json:"disk_hits"`
 	// Shared counts callers that joined another caller's in-flight run.
 	Shared uint64 `json:"shared"`
-	// DiskErrors counts disk-tier reads/writes that failed and were
-	// treated as misses (the cache is best-effort).
+	// DiskErrors counts log lines skipped when a cache dir was opened and
+	// appends that failed (the cache is best-effort).
 	DiskErrors uint64 `json:"disk_errors"`
 	// Panics counts jobs whose execution panicked; each settles its flight
 	// with a *PanicError instead of wedging latecomers on the key.
@@ -151,7 +153,8 @@ type Gauges struct {
 	PoolBusy int `json:"pool_busy"`
 	// QueueDepth counts jobs waiting for pool admission.
 	QueueDepth int `json:"queue_depth"`
-	// MemEntries counts results in the in-memory tier.
+	// MemEntries counts results in the result map, including those
+	// loaded from the on-disk log.
 	MemEntries int `json:"mem_entries"`
 }
 
@@ -179,7 +182,7 @@ func (e *PanicError) Error() string {
 
 // flight is one in-progress execution of a key that concurrent callers
 // share. done is closed exactly once, after res/err are final; an
-// err != nil flight is never stored in either cache tier.
+// err != nil flight is never stored.
 type flight struct {
 	done chan struct{}
 	res  sim.Result
@@ -250,11 +253,19 @@ type Scheduler struct {
 	pool *slotPool // worker budget; see slotPool
 
 	mu       sync.Mutex
-	runFn    func(Job) sim.Result  // execution seam; see SetRunFn
-	mem      map[string]sim.Result // in-memory tier, never evicted
+	runFn    func(Job) sim.Result // execution seam; see SetRunFn
+	mem      map[string]stored    // every known result, never evicted
 	inflight map[string]*flight
 	disk     *diskCache
 	stats    Stats
+}
+
+// stored is one result in the scheduler's map. fromDisk marks a result
+// loaded from the on-disk log that no Run has returned yet, so its first
+// hit counts as a disk hit and every later one as a memory hit.
+type stored struct {
+	res      sim.Result
+	fromDisk bool
 }
 
 // New builds a scheduler with the given worker-pool size (<=0 means
@@ -266,7 +277,7 @@ func New(workers int) *Scheduler {
 	return &Scheduler{
 		pool:     &slotPool{cap: workers},
 		runFn:    Job.run,
-		mem:      map[string]sim.Result{},
+		mem:      map[string]stored{},
 		inflight: map[string]*flight{},
 	}
 }
@@ -286,10 +297,13 @@ func Shared() *Scheduler {
 }
 
 // SetCacheDir enables (dir != "") or disables (dir == "") the on-disk
-// result tier. Entries live in append-only segment files under
+// result log. Entries live in append-only segment files under
 // dir/<key-schema-slug>/<segment>.seg, so a schema bump naturally strands
-// old entries rather than misreading them. Opening the cache scans every
-// segment into memory and counts unusable lines as DiskErrors.
+// old entries rather than misreading them. Opening a dir loads every
+// current-schema line into the result map, marked as coming from disk,
+// and counts unusable lines as DiskErrors; a loaded line never replaces a
+// result the map already holds. The scheduler lock is held while the log
+// loads, so a concurrent Run sees either none of it or all of it.
 func (s *Scheduler) SetCacheDir(dir string) error {
 	var d *diskCache
 	if dir != "" {
@@ -299,12 +313,18 @@ func (s *Scheduler) SetCacheDir(dir string) error {
 		}
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.disk = d
-	if d != nil {
-		s.stats.DiskErrors += d.corrupt
+	if d == nil {
+		return nil
 	}
-	s.mu.Unlock()
-	return nil
+	skipped, err := readSegments(d.dir, func(key string, r sim.Result) {
+		if _, ok := s.mem[key]; !ok {
+			s.mem[key] = stored{res: r, fromDisk: true}
+		}
+	})
+	s.stats.DiskErrors += skipped
+	return err
 }
 
 // SetPoolSize changes the worker-pool size at runtime (<=0 means
@@ -357,10 +377,15 @@ func (s *Scheduler) Run(j Job) sim.Result {
 
 	s.mu.Lock()
 	s.stats.Submitted++
-	if r, ok := s.mem[key]; ok {
-		s.stats.MemHits++
+	if e, ok := s.mem[key]; ok {
+		if e.fromDisk {
+			s.stats.DiskHits++
+			s.mem[key] = stored{res: e.res}
+		} else {
+			s.stats.MemHits++
+		}
 		s.mu.Unlock()
-		return cloneResult(r)
+		return cloneResult(e.res)
 	}
 	f, joined := s.inflight[key]
 	if joined {
@@ -379,8 +404,8 @@ func (s *Scheduler) Run(j Job) sim.Result {
 	return cloneResult(f.res)
 }
 
-// lead resolves one flight: disk probe, pool-bounded execution, disk
-// write-back, settlement. The deferred settle is the panic-safety
+// lead resolves one flight: pool-bounded execution, an append to the
+// on-disk log, settlement. The deferred settle is the panic-safety
 // contract — no matter what the job does, waiters are woken and the key
 // is released, with a panic converted into the flight's error. Run starts
 // it on a fresh goroutine rather than running it on the caller's: the
@@ -394,19 +419,12 @@ func (s *Scheduler) lead(key string, j Job, f *flight, disk *diskCache) {
 	)
 	defer func() {
 		if p := recover(); p != nil {
-			// A panic past execute (e.g. in the disk layer) still settles.
+			// A panic past execute (e.g. in the log append) still settles.
 			err = &PanicError{Key: key, Value: p, Stack: string(debug.Stack())}
 			bump = func(st *Stats) { st.Panics++ }
 		}
 		s.settle(key, f, res, err, bump)
 	}()
-
-	if disk != nil {
-		if r, ok := disk.read(key); ok {
-			res, bump = r, func(st *Stats) { st.DiskHits++ }
-			return
-		}
-	}
 
 	res, err = s.execute(key, j)
 	if err != nil {
@@ -443,7 +461,7 @@ func (s *Scheduler) execute(key string, j Job) (res sim.Result, err error) {
 func (s *Scheduler) settle(key string, f *flight, r sim.Result, err error, bump func(*Stats)) {
 	s.mu.Lock()
 	if err == nil {
-		s.mem[key] = r
+		s.mem[key] = stored{res: r}
 	}
 	delete(s.inflight, key)
 	if bump != nil {

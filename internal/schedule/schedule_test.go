@@ -431,12 +431,11 @@ func TestRunRepanicsOnPanickedJob(t *testing.T) {
 	s.Run(testJob(1))
 }
 
-// TestDiskWriteFailureNotIndexed is the regression test for the
-// serve-a-phantom bug: when the segment append fails, the entry must NOT
-// land in the disk index (the process would serve a result it believes is
-// durable but that vanishes on restart). The failed write is counted as a
-// DiskError; the honest in-memory tier still serves the result.
-func TestDiskWriteFailureNotIndexed(t *testing.T) {
+// TestFailedAppendReexecutesAfterRestart: when the segment append fails,
+// the failure is counted as a DiskError and the result is still served
+// from memory, but nothing durable claims it, so a restarted process on
+// the same dir re-executes the job.
+func TestFailedAppendReexecutesAfterRestart(t *testing.T) {
 	dir := t.TempDir()
 	s := New(2)
 	s.runFn = fakeRun(3)
@@ -457,12 +456,6 @@ func TestDiskWriteFailureNotIndexed(t *testing.T) {
 	st := s.Stats()
 	if st.DiskErrors != 1 || st.Executed != 1 {
 		t.Fatalf("stats = %+v", st)
-	}
-	s.mu.Lock()
-	d := s.disk
-	s.mu.Unlock()
-	if _, ok := d.read(j.Key()); ok {
-		t.Fatal("failed append was indexed as durable")
 	}
 	// Restart simulation: a fresh scheduler on the same dir must re-execute.
 	if err := os.Remove(segPath); err != nil {
@@ -515,157 +508,64 @@ func TestSetPoolSize(t *testing.T) {
 	}
 }
 
-// TestMaintainStoreCompactsAndEvicts covers the three store-maintenance
-// passes: stale-schema eviction, duplicate-key compaction, and the size
-// cap — and proves a compacted store still serves every surviving key.
-func TestMaintainStoreCompactsAndEvicts(t *testing.T) {
+// TestConcurrentRunsOfLoadedKey: concurrent callers of one key loaded from
+// the log share the loaded result without a flight. The first hit counts
+// as the disk hit and clears the mark; the rest are memory hits. Run under
+// -race this also checks that clearing the mark is synchronized.
+func TestConcurrentRunsOfLoadedKey(t *testing.T) {
 	dir := t.TempDir()
-
-	// A stale schema dir that must be evicted wholesale.
-	stale := filepath.Join(dir, "job-v0+stale-schema")
-	if err := os.MkdirAll(stale, 0o755); err != nil {
+	j := testJob(1)
+	writer := New(1)
+	writer.runFn = fakeRun(9)
+	if err := writer.SetCacheDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	os.WriteFile(filepath.Join(stale, "old.seg"), []byte("{}\n"), 0o644)
-	// A non-schema dir that must survive.
-	keep := filepath.Join(dir, "unrelated")
-	if err := os.MkdirAll(keep, 0o755); err != nil {
-		t.Fatal(err)
-	}
+	writer.Run(j)
 
-	// Duplicate appends for one key (two processes sharing a cache dir that
-	// both executed the job do this).
 	s := New(2)
-	s.runFn = fakeRun(7)
+	s.runFn = func(Job) sim.Result { t.Error("a loaded key executed"); return sim.Result{} }
 	if err := s.SetCacheDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	j1, j2 := testJob(1), testJob(2)
-	s.Run(j1)
-	s.Run(j2)
-	s.mu.Lock()
-	d := s.disk
-	s.mu.Unlock()
-	if err := d.write(j1.Key(), j1, fakeRun(7)(j1)); err != nil {
-		t.Fatal(err) // deliberate duplicate line
+	const callers = 8
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if r := s.Run(j); r.Apps[0].Cycles != 9 {
+				t.Errorf("loaded result = %+v", r)
+			}
+		}()
 	}
-
-	rep, err := MaintainStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.SchemasEvicted) != 1 || rep.SchemasEvicted[0] != "job-v0+stale-schema" {
-		t.Fatalf("schemas evicted = %v", rep.SchemasEvicted)
-	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Fatal("stale schema dir survived")
-	}
-	if _, err := os.Stat(keep); err != nil {
-		t.Fatal("non-schema dir was evicted")
-	}
-	if rep.SegmentsCompacted != 1 || rep.LinesDropped != 1 {
-		t.Fatalf("report = %+v", rep)
-	}
-	if rep.BytesAfter >= rep.BytesBefore {
-		t.Fatalf("compaction did not shrink the store: %+v", rep)
-	}
-
-	// The compacted store still serves both keys.
-	s2 := New(2)
-	s2.runFn = func(Job) sim.Result { t.Fatal("compacted store lost an entry"); return sim.Result{} }
-	if err := s2.SetCacheDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	s2.Run(j1)
-	s2.Run(j2)
-	if st := s2.Stats(); st.DiskHits != 2 || st.DiskErrors != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-
-	// Size cap: force eviction of everything (1 byte budget).
-	rep2, err := MaintainStore(dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.SegmentsEvicted == 0 || rep2.BytesAfter > 1 {
-		t.Fatalf("size cap did not evict: %+v", rep2)
+	wg.Wait()
+	if st := s.Stats(); st.DiskHits != 1 || st.MemHits != callers-1 || st.Executed != 0 || st.Shared != 0 {
+		t.Fatalf("stats = %+v, want 1 disk hit and %d mem hits", st, callers-1)
 	}
 }
 
-// TestMaintainStoreRacesLiveWriter pins MaintainStore's documented
-// concurrency contract: a maintenance pass racing live appenders may at
-// worst drop a freshly-appended line (a re-executable cache entry, never
-// an answer) — it must never error, corrupt the store, or lose an entry
-// that was durable before maintenance began. Run under -race this also
-// proves the pass shares no unsynchronized memory with the writer path.
-func TestMaintainStoreRacesLiveWriter(t *testing.T) {
+// TestReopenKeepsMemoryEntry: re-opening a cache dir loads lines for
+// results the map already holds, and must not replace them. A job executed
+// before the re-open is still a memory hit, not a disk hit.
+func TestReopenKeepsMemoryEntry(t *testing.T) {
 	dir := t.TempDir()
+	j := testJob(1)
 	s := New(2)
-	s.runFn = fakeRun(5)
+	s.runFn = fakeRun(4)
 	if err := s.SetCacheDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	d := s.disk
-	s.mu.Unlock()
-
-	// Entries durable before any maintenance pass; every one gets a
-	// duplicate append so each pass has real compaction work to do.
-	durable := make([]Job, 8)
-	for i := range durable {
-		durable[i] = testJob(uint64(i + 1))
-		s.Run(durable[i])
-		if err := d.write(durable[i].Key(), durable[i], fakeRun(5)(durable[i])); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				j := testJob(uint64(100 + 10*w + i%7))
-				j.Segment = "writer"
-				if err := d.write(j.Key(), j, fakeRun(5)(j)); err != nil {
-					t.Errorf("live writer %d: %v", w, err)
-					return
-				}
-			}
-		}(w)
-	}
-	for pass := 0; pass < 25; pass++ {
-		if _, err := MaintainStore(dir, 0); err != nil {
-			t.Fatalf("maintenance pass %d racing a live writer: %v", pass, err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-
-	// Writers quiesced: one more pass, then a fresh scheduler must serve
-	// every durable key straight from disk without executing anything.
-	if _, err := MaintainStore(dir, 0); err != nil {
+	s.Run(j)
+	if err := s.SetCacheDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	s2 := New(2)
-	s2.runFn = func(Job) sim.Result {
-		t.Error("maintenance lost a durable entry")
-		return sim.Result{}
+	if r := s.Run(j); r.Apps[0].Cycles != 4 {
+		t.Fatalf("result = %+v", r)
 	}
-	if err := s2.SetCacheDir(dir); err != nil {
-		t.Fatal(err)
+	if st := s.Stats(); st.Executed != 1 || st.MemHits != 1 || st.DiskHits != 0 {
+		t.Fatalf("stats = %+v, want the re-opened job to stay a memory entry", st)
 	}
-	for _, j := range durable {
-		s2.Run(j)
-	}
-	if st := s2.Stats(); st.DiskHits != uint64(len(durable)) {
-		t.Fatalf("stats = %+v, want %d disk hits", st, len(durable))
+	if g := s.Gauges(); g.MemEntries != 1 {
+		t.Fatalf("gauges = %+v", g)
 	}
 }

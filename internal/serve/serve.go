@@ -19,6 +19,13 @@
 // Experiment requests run to completion server-side even if the client
 // disconnects mid-stream: the results were worth computing once and are
 // cached for the next requester.
+//
+// With a cache dir, New opens the store on the scheduler, which loads the
+// store's append-only log into its result map; each job executed for any
+// client then appends one line. The server never rewrites, compacts or
+// caps the store: duplicate lines hold identical results, and older
+// schemas' directories are never read. Deleting the cache root reclaims
+// the space.
 package serve
 
 import (
@@ -35,10 +42,6 @@ import (
 	"repro/internal/schedule"
 )
 
-// DefaultStoreMaxBytes caps the on-disk segment store at 2 GiB unless the
-// server is configured otherwise.
-const DefaultStoreMaxBytes int64 = 2 << 30
-
 // maxBodyBytes bounds request bodies: an experiments.Request is a few
 // hundred bytes of JSON.
 const maxBodyBytes = 1 << 20
@@ -52,13 +55,9 @@ type Config struct {
 	// seam for tests.
 	Scheduler *schedule.Scheduler
 	// CacheDir is the on-disk result store root ("" disables the disk
-	// tier). The server owns the store: New runs a maintenance pass and
-	// opens it on the scheduler.
+	// tier). New opens it on the scheduler, which loads its log.
 	CacheDir string
-	// StoreMaxBytes caps the store size at the startup maintenance pass
-	// (0 = DefaultStoreMaxBytes, negative = uncapped).
-	StoreMaxBytes int64
-	// Log receives request and maintenance logs; nil discards them.
+	// Log receives request logs; nil discards them.
 	Log *log.Logger
 }
 
@@ -74,32 +73,19 @@ type Server struct {
 	activeStreams  atomic.Int64
 }
 
-// New builds a Server and, when a cache dir is configured, grooms the store
-// (stale-schema eviction, duplicate-line compaction, size cap; see
-// schedule.MaintainStore) and opens it on the scheduler.
+// New builds a Server and, when a cache dir is configured, opens it on the
+// scheduler.
 func New(cfg Config) (*Server, error) {
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = schedule.Shared()
-	}
-	if cfg.StoreMaxBytes == 0 {
-		cfg.StoreMaxBytes = DefaultStoreMaxBytes
 	}
 	if cfg.Log == nil {
 		cfg.Log = log.New(io.Discard, "", 0)
 	}
 	if cfg.CacheDir != "" {
-		max := cfg.StoreMaxBytes
-		if max < 0 {
-			max = 0 // MaintainStore treats 0 as uncapped
-		}
-		rep, err := schedule.MaintainStore(cfg.CacheDir, max)
-		if err != nil {
-			return nil, err
-		}
 		if err := cfg.Scheduler.SetCacheDir(cfg.CacheDir); err != nil {
 			return nil, err
 		}
-		cfg.Log.Printf("paperfigd: store maintenance: %s", rep)
 	}
 	return &Server{cfg: cfg, sched: cfg.Scheduler, start: time.Now()}, nil
 }
@@ -231,8 +217,6 @@ type StoreStats struct {
 	Dir string `json:"dir,omitempty"`
 	// Bytes is the current-schema store size on disk.
 	Bytes int64 `json:"bytes"`
-	// MaxBytes is the startup maintenance size cap (negative = uncapped).
-	MaxBytes int64 `json:"max_bytes"`
 }
 
 // Snapshot assembles the current Statsz document.
@@ -251,9 +235,8 @@ func (s *Server) Snapshot() Statsz {
 	}
 	if s.cfg.CacheDir != "" {
 		st.Store = StoreStats{
-			Dir:      s.cfg.CacheDir,
-			Bytes:    schedule.StoreBytes(s.cfg.CacheDir),
-			MaxBytes: s.cfg.StoreMaxBytes,
+			Dir:   s.cfg.CacheDir,
+			Bytes: schedule.StoreBytes(s.cfg.CacheDir),
 		}
 	}
 	return st
@@ -281,15 +264,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("scheduler_submitted_total", sc.Submitted, "jobs submitted to the scheduler")
 	counter("scheduler_executed_total", sc.Executed, "jobs that actually simulated")
 	counter("scheduler_mem_hits_total", sc.MemHits, "in-memory tier hits")
-	counter("scheduler_disk_hits_total", sc.DiskHits, "disk tier hits")
+	counter("scheduler_disk_hits_total", sc.DiskHits, "first hits on results loaded from disk")
 	counter("scheduler_shared_total", sc.Shared, "callers that joined an in-flight execution")
-	counter("scheduler_disk_errors_total", sc.DiskErrors, "disk tier reads/writes treated as misses")
+	counter("scheduler_disk_errors_total", sc.DiskErrors, "log lines skipped at open and failed appends")
 	counter("scheduler_panics_total", sc.Panics, "jobs whose execution panicked")
 	gauge("scheduler_inflight_flights", int64(g.InflightFlights), "singleflight keys executing now")
 	gauge("scheduler_pool_cap", int64(g.PoolCap), "worker pool slots")
 	gauge("scheduler_pool_busy", int64(g.PoolBusy), "worker pool slots claimed")
 	gauge("scheduler_queue_depth", int64(g.QueueDepth), "jobs waiting for pool admission")
-	gauge("scheduler_mem_entries", int64(g.MemEntries), "mem-tier cached results")
+	gauge("scheduler_mem_entries", int64(g.MemEntries), "cached results, loaded ones included")
 	counter("http_requests_total", st.HTTP.Requests, "API requests received")
 	counter("http_tables_streamed_total", st.HTTP.TablesStreamed, "tables streamed to clients")
 	counter("http_errors_total", st.HTTP.Errors, "failed API requests")

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -183,12 +182,11 @@ func TestStatszAndMetrics(t *testing.T) {
 	}
 }
 
-// TestStartupMaintenanceKeepsEntries: New grooms the store before opening
-// it, and the pass must keep every durable entry. Two schedulers that
-// share a cache dir both execute one job (leaving a duplicate line), and a
-// stale schema directory sits beside the store; the server's scheduler
-// must then answer the job from disk.
-func TestStartupMaintenanceKeepsEntries(t *testing.T) {
+// TestNewOpensStoreWithDuplicateLine: two schedulers that share a cache
+// dir both execute one job, leaving two identical lines in the store. The
+// server's scheduler must load the store once and answer the job as one
+// disk hit, without executing it.
+func TestNewOpensStoreWithDuplicateLine(t *testing.T) {
 	dir := t.TempDir()
 	var want sim.Result
 	writers := []*schedule.Scheduler{schedule.New(1), schedule.New(1)}
@@ -201,28 +199,35 @@ func TestStartupMaintenanceKeepsEntries(t *testing.T) {
 	for _, w := range writers {
 		want = w.Run(stubJob(1))
 	}
-	stale := filepath.Join(dir, "job-v0+stale-schema")
-	if err := os.MkdirAll(stale, 0o755); err != nil {
-		t.Fatal(err)
+	segs, _ := filepath.Glob(filepath.Join(dir, "*", "*.seg"))
+	lines := 0
+	for _, p := range segs {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines += bytes.Count(data, []byte("\n"))
+	}
+	if lines != 2 {
+		t.Fatalf("store holds %d lines, want the job's line twice", lines)
 	}
 
 	sched := schedule.New(1)
 	sched.SetRunFn(func(j schedule.Job) sim.Result {
-		t.Error("re-executed a job that startup maintenance should have kept")
+		t.Error("re-executed a job the store holds")
 		return stubResult(j)
 	})
-	var logs bytes.Buffer
-	if _, err := New(Config{Scheduler: sched, CacheDir: dir, Log: log.New(&logs, "", 0)}); err != nil {
+	if _, err := New(Config{Scheduler: sched, CacheDir: dir}); err != nil {
 		t.Fatal(err)
-	}
-	if !strings.Contains(logs.String(), "schemas-evicted=1 segments-compacted=1 lines-dropped=1") {
-		t.Fatalf("startup maintenance did not groom the store: %q", logs.String())
 	}
 	if got := sched.Run(stubJob(1)); !reflect.DeepEqual(got, want) {
 		t.Fatal("disk-served result diverges")
 	}
-	if st := sched.Stats(); st.DiskHits != 1 || st.Executed != 0 {
+	if st := sched.Stats(); st.DiskHits != 1 || st.Executed != 0 || st.DiskErrors != 0 {
 		t.Fatalf("stats = %s, want one disk hit", st)
+	}
+	if g := sched.Gauges(); g.MemEntries != 1 {
+		t.Fatalf("gauges = %+v, want the duplicate lines loaded as one entry", g)
 	}
 }
 
@@ -251,7 +256,7 @@ func TestHarnessPanicEndsStream(t *testing.T) {
 
 // TestStoreBytesCountsCurrentSchemaOnly: the store size in /statsz (and
 // /metrics) counts current-schema segments only. A segment written under
-// another schema directory after startup maintenance does not count.
+// another schema directory does not count.
 func TestStoreBytesCountsCurrentSchemaOnly(t *testing.T) {
 	dir := t.TempDir()
 	sched := schedule.New(1)
