@@ -52,6 +52,13 @@ var goldenFingerprints = []struct {
 		"f25a8fa6cadc28b82fb6d9faad7f5930876c7c76836444c0ba8e6a7e57aff77f"},
 	{"mixB/cluster", []string{"art", "gcc", "STRM", "milc"}, "tadrrip", true,
 		"e93f60f1a03b864726738530fc0061bcc4d738fc2411eda35b8b9414e4b7616c"},
+	// Mix A under true LRU, unmasked and under the clustering layer: the
+	// only rows whose LLC runs LRU (every L1 is LRU, but 8-way and never
+	// masked), so they pin LRU's 16-way victim and its masked victim path.
+	{"mixA/lru", []string{"calc", "mcf", "libq", "lbm"}, "lru", false,
+		"5ecb29f92f1fc6382e915a6929fbea83b1fc216a30bacb58d962ab2d8c608c20"},
+	{"mixA/lru-cluster", []string{"calc", "mcf", "libq", "lbm"}, "lru", true,
+		"b2a410b7922dde20a15d279ab6487091d9c61fa48b84327173bd3bb71c4dbad5"},
 	// Sixteen streaming apps: the only row that contends all eight DRAM
 	// banks, so it pins the order of DRAM reads, dirty-victim drains and
 	// write-throughs on a loaded substrate.

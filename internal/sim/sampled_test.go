@@ -39,6 +39,8 @@ var sampledGoldenFingerprints = []struct {
 		"64d5552b852d2f79bdbb53562fde6762505f0f18487e37c73fa1247f43d024c7"},
 	{"mixA/adapt", []string{"calc", "mcf", "libq", "lbm"}, "adapt", false,
 		"15a73ae30688f85042df7ab91311997501b45b617f547ccfc5d4c2b04d1c5247"},
+	{"mixA/lru", []string{"calc", "mcf", "libq", "lbm"}, "lru", false,
+		"cb1273c83aa643254f915443eb69aa4b26559260b484e3e00dedafb9d9b7ab46"},
 	{"mixB/ship", []string{"art", "gcc", "STRM", "milc"}, "ship", false,
 		"4a319a5e9e9546e3279fcb79b9f442d8a5310ac26b00b9cc8ccc1e911509c707"},
 	{"mixB/cluster", []string{"art", "gcc", "STRM", "milc"}, "tadrrip", true,
