@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race lint vet fmt-check docs-check perf-check bench bench-smoke serve-smoke allocs-gate paperfig ci clean
+.PHONY: all build test test-race lint vet fmt-check docs-check perf-check perf-ab bench bench-smoke serve-smoke allocs-gate paperfig ci clean
 
 all: build
 
@@ -38,6 +38,16 @@ docs-check:
 # in the packages it imports cannot break the benchmark unseen.
 perf-check:
 	cd perf && $(GO) vet ./... && $(GO) test ./...
+
+# Paired perf runs of BASE against the working tree: PAIRS alternating
+# pairs of perf/run.sh with PERF_FLAGS on both sides, then perf -compare
+# and the host (scripts/perf_ab.sh).
+#   make perf-ab BASE=HEAD~1 PERF_FLAGS='--workload mix4-paper-sampled --trace 0'
+PAIRS ?= 10
+PERF_FLAGS ?=
+perf-ab:
+	@test -n "$(BASE)" || { echo "usage: make perf-ab BASE=<ref> [PAIRS=10] [PERF_FLAGS=...]"; exit 2; }
+	bash scripts/perf_ab.sh -n $(PAIRS) $(BASE) $(PERF_FLAGS)
 
 # Full benchmark sweep at Tiny fidelity (prints every regenerated table).
 bench:

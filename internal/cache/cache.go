@@ -12,8 +12,9 @@
 //
 // Metadata is stored struct-of-arrays (see Cache): one dense tags array as
 // the single source of truth plus per-set valid/dirty/prefetch bitsets, the
-// layout of the per-access fast path. The RRIP Engine lives here too so the
-// fast path can call it without interface dispatch (HotProfile).
+// layout of the per-access fast path. The RRIP Engine and the LRUEngine
+// live here too so the fast path can call them without interface dispatch
+// (HotProfile).
 package cache
 
 import (
@@ -99,9 +100,9 @@ type EvictedLine struct {
 //
 // Policies that need more of the miss path implement the optional
 // MissObserver and EvictObserver. Policies whose per-access callbacks are
-// the RRIP Engine's own can additionally implement HotPather; the cache
-// then skips the interface for those callbacks (same decisions, no dynamic
-// dispatch).
+// the RRIP Engine's or the LRUEngine's own can additionally implement
+// HotPather; the cache then skips the interface for those callbacks (same
+// decisions, no dynamic dispatch).
 type ReplacementPolicy interface {
 	Name() string
 	OnHit(a *Access, set, way int)
@@ -135,13 +136,17 @@ type Line struct {
 	Prefetch bool // filled by a prefetch and not yet referenced by a demand access
 }
 
-// Result reports what a call to Access did.
+// Result reports what a call to Access did. A miss the policy declined to
+// allocate (a bypass) reads as a miss with nothing evicted; Stats counts
+// it in Bypasses.
+//
+// Result and EvictedLine keep at most four fields and four words, so the
+// compiler keeps a returned Result in registers; TestResultFitsInRegisters
+// gives the measured cost of a larger one.
 type Result struct {
 	Hit          bool
-	Bypassed     bool        // miss for which the policy declined to allocate
 	EvictedValid bool        // a valid line was displaced by the fill
 	Evicted      EvictedLine // the displaced line, if EvictedValid
-	PrefetchHit  bool        // demand hit on a line installed by a prefetch
 }
 
 // Stats aggregates per-core reference counters. "Demand" excludes prefetches
@@ -257,6 +262,9 @@ func New(cfg Config, p ReplacementPolicy) *Cache {
 		if prof.Engine == nil && (prof.PlainHit || prof.PlainVictim) {
 			panic(fmt.Sprintf("cache %s: policy %s declared a hot profile without an engine", cfg.Name, p.Name()))
 		}
+		if prof.LRU != nil && (prof.Engine != nil || prof.PlainHit || prof.PlainVictim) {
+			panic(fmt.Sprintf("cache %s: policy %s declared a hot profile with both an RRIP and an LRU engine", cfg.Name, p.Name()))
+		}
 		c.hot = prof
 		c.hotFull = prof
 	}
@@ -340,13 +348,13 @@ func (c *Cache) Lookup(block uint64) (way int, ok bool) {
 // Access performs a reference: on hit it updates replacement and dirty state;
 // on miss it consults the policy, possibly evicting a victim and installing
 // the block. The returned Result tells the caller whether to recurse into the
-// next level (miss), whether a dirty victim needs writing back, and whether
-// the fill was bypassed.
+// next level (miss) and whether a dirty victim needs writing back.
 //
-// Dispatch follows the cache's hot profile: flagged callbacks run as direct
-// Engine calls (identical state updates in identical order), the rest go
-// through the ReplacementPolicy interface. OnFill is always an interface
-// call — insertion values are the policies' whole contribution.
+// Dispatch follows the cache's hot profile: an LRU profile runs every
+// callback as a direct LRUEngine call; an RRIP profile runs its flagged
+// callbacks as direct Engine calls; the rest go through the
+// ReplacementPolicy interface. State updates are identical, in identical
+// order, either way.
 func (c *Cache) Access(a *Access) Result {
 	set, tag := c.SetOf(a.Block), c.TagOf(a.Block)
 	c.stats.Accesses[a.Core]++
@@ -355,24 +363,22 @@ func (c *Cache) Access(a *Access) Result {
 	}
 
 	if w := c.findWay(set, tag); w >= 0 {
-		res := Result{Hit: true}
 		bit := uint64(1) << uint(w)
 		if a.Write {
 			c.dirty[set] |= bit
 		}
 		if !a.Demand {
-			return res
+			return Result{Hit: true}
 		}
-		if c.pref[set]&bit != 0 {
-			c.pref[set] &^= bit
-			res.PrefetchHit = true
-		}
-		if c.hot.PlainHit {
+		c.pref[set] &^= bit
+		if lru := c.hot.LRU; lru != nil {
+			lru.Touch(set, w)
+		} else if c.hot.PlainHit {
 			c.hot.Engine.Promote(set, w)
 		} else {
 			c.policy.OnHit(a, set, w)
 		}
-		return res
+		return Result{Hit: true}
 	}
 
 	// Miss.
@@ -386,15 +392,17 @@ func (c *Cache) Access(a *Access) Result {
 
 	valid, ways := c.valid[set], c.masks[a.Core]
 	var way int
-	if c.hot.PlainVictim {
-		// The engine's victim is a candidate by construction; no recheck.
+	if lru := c.hot.LRU; lru != nil {
+		// The engines' victims are candidates by construction; no recheck.
+		way = lru.VictimFor(set, valid, ways)
+	} else if c.hot.PlainVictim {
 		way = c.hot.Engine.VictimFor(set, valid, ways)
 	} else {
 		var allocate bool
 		way, allocate = c.policy.FillDecision(a, set, valid, ways)
 		if !allocate {
 			c.stats.Bypasses[a.Core]++
-			return Result{Bypassed: true}
+			return Result{}
 		}
 		if way < 0 || way >= c.ways || ways&(1<<uint(way)) == 0 {
 			panic(fmt.Sprintf("cache %s: policy %s returned way %d, not a candidate of %#x",
@@ -432,7 +440,11 @@ func (c *Cache) Access(a *Access) Result {
 	} else {
 		c.pref[set] &^= bit
 	}
-	c.policy.OnFill(a, set, way)
+	if lru := c.hot.LRU; lru != nil {
+		lru.Touch(set, way)
+	} else {
+		c.policy.OnFill(a, set, way)
+	}
 	return res
 }
 

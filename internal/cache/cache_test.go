@@ -83,8 +83,8 @@ func TestMissFillHit(t *testing.T) {
 
 	a := &Access{Block: 0x1234, Core: 0, Demand: true}
 	res := c.Access(a)
-	if res.Hit || res.Bypassed {
-		t.Fatalf("first access should miss and fill, got %+v", res)
+	if res.Hit || c.ValidLines() != 1 {
+		t.Fatalf("first access should miss and fill, got %+v with %d valid lines", res, c.ValidLines())
 	}
 	res = c.Access(a)
 	if !res.Hit {
@@ -160,9 +160,8 @@ func TestBypassDoesNotFill(t *testing.T) {
 	p := newFIFO(cfg.Geometry)
 	p.bypass = true
 	c := New(cfg, p)
-	res := c.Access(&Access{Block: 7, Demand: true})
-	if !res.Bypassed {
-		t.Fatalf("expected bypass, got %+v", res)
+	if res := c.Access(&Access{Block: 7, Demand: true}); res != (Result{}) {
+		t.Fatalf("a bypassed miss should read as a miss with nothing evicted, got %+v", res)
 	}
 	if _, ok := c.Lookup(7); ok {
 		t.Fatal("bypassed block was installed")
@@ -183,14 +182,16 @@ func TestPrefetchLifecycle(t *testing.T) {
 	if c.Stats().PrefetchFills[0] != 1 {
 		t.Fatal("prefetch fill not counted")
 	}
-	// First demand hit flags PrefetchHit and clears the bit.
-	res := c.Access(&Access{Block: 3, Demand: true})
-	if !res.Hit || !res.PrefetchHit {
-		t.Fatalf("expected prefetch hit, got %+v", res)
+	w, ok := c.Lookup(3)
+	if !ok || !c.LineAt(c.SetOf(3), w).Prefetch {
+		t.Fatal("prefetch fill not marked as prefetched")
 	}
-	res = c.Access(&Access{Block: 3, Demand: true})
-	if res.PrefetchHit {
-		t.Fatal("PrefetchHit reported twice for the same line")
+	// The first demand hit clears the mark.
+	if res := c.Access(&Access{Block: 3, Demand: true}); !res.Hit {
+		t.Fatalf("expected a hit on the prefetched line, got %+v", res)
+	}
+	if c.LineAt(c.SetOf(3), w).Prefetch {
+		t.Fatal("demand hit left the prefetch mark set")
 	}
 }
 

@@ -152,21 +152,29 @@ func (e *Engine) victimMasked(set int, valid, mask uint64) int {
 }
 
 // HotProfile declares which of a replacement policy's per-access callbacks
-// are the Engine's own, so the cache can execute them as direct
-// concrete-method calls instead of interface dispatch. The profile is
-// captured once at construction (New); each flag promises that the policy
-// keeps the engine's callback, or one that acts exactly like it in this
+// the cache may execute as direct concrete-method calls instead of
+// interface dispatch. The profile is captured once at construction (New)
+// and names at most one engine.
+//
+// For the RRIP family, each flag promises that the policy keeps the
+// Engine's callback, or one that acts exactly like it in this
 // configuration (a bypass-capable FillDecision with bypass off):
 //
 //	PlainHit:    OnHit        is Engine.OnHit        (promote)
 //	PlainVictim: FillDecision is Engine.FillDecision (allocate at VictimFor)
 //
-// OnFill is never devirtualized: the insertion value is the policy's whole
-// contribution, so the fill boundary keeps its interface call. A flag
-// claimed by a policy whose callback does more silently changes
-// decisions — the differential dispatch tests (internal/policy) pin every
-// registered policy's profile against the pure interface path. The zero
-// profile means full interface dispatch.
+// An RRIP policy's OnFill is never devirtualized: the insertion value is
+// its whole contribution, so the fill boundary keeps its interface call.
+//
+// LRU is the one policy whose three callbacks are all devirtualized: it
+// always inserts at MRU, so its OnFill is a touch like its OnHit. With LRU
+// set, the cache touches on a demand hit, takes LRU.VictimFor on a miss
+// and touches on the fill.
+//
+// A profile that claims a callback the policy does more in silently
+// changes decisions — the differential dispatch tests (internal/policy)
+// pin every registered policy's profile against the pure interface path.
+// The zero profile means full interface dispatch.
 type HotProfile struct {
 	// Engine is the policy's embedded RRIP engine; required whenever
 	// either flag is set.
@@ -175,11 +183,14 @@ type HotProfile struct {
 	PlainHit bool
 	// PlainVictim: the policy keeps Engine.FillDecision.
 	PlainVictim bool
+	// LRU is the policy's embedded LRU engine, which then serves every
+	// per-access callback. It excludes Engine and the flags.
+	LRU *LRUEngine
 }
 
 // HotPather is the optional capability interface a replacement policy
 // implements to opt its per-access callbacks into devirtualized dispatch.
-// Policies that don't implement it (LRU, external policies) get the
+// Policies that don't implement it (external and test policies) get the
 // reference interface path for every callback.
 type HotPather interface {
 	Hot() HotProfile

@@ -2,16 +2,20 @@ package policy
 
 import "repro/internal/cache"
 
-// Hot profiles: each RRIP-family policy declares, once, which of the
-// engine's per-access callbacks it keeps, so the cache can run them without
-// interface dispatch (cache.HotProfile). A flag is set if and only if the
-// policy inherits the engine's callback instead of declaring its own — a
-// profile that over-claims changes decisions, which is what the
-// differential dispatch tests in dispatch_test.go pin for every registered
-// policy (fast vs reference path, masked and unmasked).
-//
-// LRU deliberately implements no profile: it has no Engine, and its
-// callbacks stay on the interface path.
+// Hot profiles: each policy declares, once, which of its engine's
+// per-access callbacks it keeps, so the cache can run them without
+// interface dispatch (cache.HotProfile). For the RRIP family a flag is set
+// if and only if the policy inherits the engine's callback instead of
+// declaring its own; LRU hands over its LRUEngine, which serves all three
+// callbacks. A profile that over-claims changes decisions, which is what
+// the differential dispatch tests in dispatch_test.go pin for every
+// registered policy (fast vs reference path, masked and unmasked).
+
+// Hot implements cache.HotPather. LRU's hit, victim and fill are all the
+// embedded engine's: a touch, VictimFor and a touch.
+func (p *LRU) Hot() cache.HotProfile {
+	return cache.HotProfile{LRU: &p.LRUEngine}
+}
 
 // Hot implements cache.HotPather. SRRIP keeps the engine's hit and fill
 // decision; only OnFill (the insertion value) is its own.

@@ -1,25 +1,24 @@
 package policy
 
-import (
-	"math/bits"
-
-	"repro/internal/cache"
-)
+import "repro/internal/cache"
 
 // LRU is true least-recently-used replacement: every fill and every demand
 // hit moves the line to MRU; the victim is the least recently touched line.
 // The paper's Figure 3 uses it as the classic baseline that thrashes when
 // working sets exceed the cache ("the MRU insertions of thrashing
-// applications pollute the cache").
+// applications pollute the cache"), and every core's L1 runs it.
+//
+// The recency state is the embedded cache.LRUEngine, so the cache runs all
+// three callbacks as direct engine calls (Hot). The methods below are the
+// interface path, the reference that SetReferenceDispatch and the dispatch
+// tests compare the direct calls against.
 type LRU struct {
-	geom  cache.Geometry
-	stamp []uint64
-	clock uint64
+	cache.LRUEngine
 }
 
 // NewLRU builds an LRU policy for the given geometry.
 func NewLRU(g cache.Geometry) *LRU {
-	return &LRU{geom: g, stamp: make([]uint64, g.Sets*g.Ways)}
+	return &LRU{LRUEngine: cache.NewLRUEngine(g)}
 }
 
 // Name implements cache.ReplacementPolicy.
@@ -27,32 +26,15 @@ func (p *LRU) Name() string { return "lru" }
 
 // OnHit promotes the line to MRU (the cache calls it for demand hits only,
 // matching the paper's footnote 4).
-func (p *LRU) OnHit(a *cache.Access, set, way int) {
-	p.clock++
-	p.stamp[set*p.geom.Ways+way] = p.clock
-}
+func (p *LRU) OnHit(a *cache.Access, set, way int) { p.Touch(set, way) }
 
 // FillDecision always allocates; LRU has no bypass opportunity because every
 // insertion is at MRU (paper §5.3). The victim is the lowest invalid
 // candidate way, else the candidate with the oldest stamp, the lowest way
 // winning ties.
 func (p *LRU) FillDecision(a *cache.Access, set int, valid, ways uint64) (int, bool) {
-	if inv := ways &^ valid; inv != 0 {
-		return bits.TrailingZeros64(inv), true
-	}
-	base := set * p.geom.Ways
-	victim, oldest := -1, uint64(0)
-	for m := ways; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if s := p.stamp[base+w]; victim < 0 || s < oldest {
-			victim, oldest = w, s
-		}
-	}
-	return victim, true
+	return p.VictimFor(set, valid, ways), true
 }
 
 // OnFill installs the new line at MRU.
-func (p *LRU) OnFill(a *cache.Access, set, way int) {
-	p.clock++
-	p.stamp[set*p.geom.Ways+way] = p.clock
-}
+func (p *LRU) OnFill(a *cache.Access, set, way int) { p.Touch(set, way) }
