@@ -171,9 +171,9 @@ func (e *Engine) victimMasked(set int, valid, mask uint64) int {
 // set, the cache touches on a demand hit, takes LRU.VictimFor on a miss
 // and touches on the fill.
 //
-// A profile that claims a callback the policy does more in silently
-// changes decisions — the differential dispatch tests (internal/policy)
-// pin every registered policy's profile against the pure interface path.
+// A profile that claims more than the policy keeps silently changes
+// decisions — the differential dispatch tests (internal/policy) pin every
+// registered policy's profile against the pure interface path.
 // The zero profile means full interface dispatch.
 type HotProfile struct {
 	// Engine is the policy's embedded RRIP engine; required whenever

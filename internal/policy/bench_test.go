@@ -60,7 +60,7 @@ func BenchmarkVictimDistant(b *testing.B) {
 // a deterministic multi-core access pattern on a full cache, measuring the
 // end-to-end per-fill bookkeeping cost of each policy.
 func BenchmarkFillChurn(b *testing.B) {
-	for _, name := range []string{"tadrrip", "ship", "eaf", "drrip"} {
+	for _, name := range []string{"tadrrip", "ship", "eaf", "drrip", "lru"} {
 		b.Run(name, func(b *testing.B) {
 			p, err := New(name, benchGeom, Options{Seed: 42})
 			if err != nil {

@@ -129,29 +129,34 @@ func TestDispatchEquivalence(t *testing.T) {
 
 // TestReferenceDispatchToggle makes sure SetReferenceDispatch is a real
 // toggle: switching the fast cache to reference mode mid-stream and back
-// must not change decisions either (the two paths share all state).
+// must not change decisions either (the two paths share all state). It runs
+// the two full hot profiles: srrip exercises every RRIP flag, lru the LRU
+// engine's hit, victim and fill.
 func TestReferenceDispatchToggle(t *testing.T) {
 	const accesses = 12_000
-	name := "srrip" // full hot profile: every flag exercised
-	fast := newDispatchCache(t, name)
-	ref := newDispatchCache(t, name)
-	ref.SetReferenceDispatch(true)
-	src := rng.New(0x70661E)
-	blocks := uint64(dispatchGeom.Sets * dispatchGeom.Ways * 3)
-	for i := 0; i < accesses; i++ {
-		if i%1000 == 0 {
-			fast.SetReferenceDispatch(i%2000 == 0)
-		}
-		a := cache.Access{
-			Block:  src.Uint64n(blocks),
-			Core:   int(src.Uint64n(uint64(dispatchGeom.Cores))),
-			PC:     0x400000 + src.Uint64n(512)<<2,
-			Demand: true,
-		}
-		af, ar := a, a
-		if rf, rr := fast.Access(&af), ref.Access(&ar); rf != rr {
-			t.Fatalf("access %d: fast=%+v ref=%+v", i, rf, rr)
-		}
+	for _, name := range []string{"srrip", "lru"} {
+		t.Run(name, func(t *testing.T) {
+			fast := newDispatchCache(t, name)
+			ref := newDispatchCache(t, name)
+			ref.SetReferenceDispatch(true)
+			src := rng.New(0x70661E)
+			blocks := uint64(dispatchGeom.Sets * dispatchGeom.Ways * 3)
+			for i := 0; i < accesses; i++ {
+				if i%1000 == 0 {
+					fast.SetReferenceDispatch(i%2000 == 0)
+				}
+				a := cache.Access{
+					Block:  src.Uint64n(blocks),
+					Core:   int(src.Uint64n(uint64(dispatchGeom.Cores))),
+					PC:     0x400000 + src.Uint64n(512)<<2,
+					Demand: true,
+				}
+				af, ar := a, a
+				if rf, rr := fast.Access(&af), ref.Access(&ar); rf != rr {
+					t.Fatalf("access %d: fast=%+v ref=%+v", i, rf, rr)
+				}
+			}
+			compareFinalState(t, name, fast, ref)
+		})
 	}
-	compareFinalState(t, name, fast, ref)
 }
