@@ -19,9 +19,11 @@
 #	          directory, kept and printed at the end)
 #
 # The perf flags after BASE go to every run, for example
-# `--workload mix4-paper-sampled --seed 7 --trace 0`. The clone, not a
-# `git worktree`, leaves nothing behind in this repository's .git when a
-# run is interrupted; it is deleted on exit, its build cache with it.
+# `--workload mix4-paper-sampled --seed 7 --trace 0`. perf/run.sh rebuilds
+# the working tree before each of its runs, so leave the sources alone
+# until the script ends. The clone, not a `git worktree`, leaves nothing
+# behind in this repository's .git when a run is interrupted; it is
+# deleted on exit, its build cache with it.
 set -euo pipefail
 root=$(cd "$(dirname "$0")/.." && pwd)
 usage="usage: scripts/perf_ab.sh [-n pairs] [-o dir] BASE [perf flags...]"
@@ -48,7 +50,8 @@ mkdir -p "$out"
 out=$(cd "$out" && pwd)
 
 src=$(mktemp -d "${TMPDIR:-/tmp}/perf-ab-base.XXXXXX")
-trap 'rm -rf "$src"' EXIT INT TERM
+trap 'rm -rf "$src"' EXIT
+trap 'exit 130' INT TERM
 git clone -q --no-checkout "$root" "$src"
 git -C "$src" checkout -q --detach "$base_sha"
 
