@@ -15,18 +15,13 @@ import "math/bits"
 // branch-free minimum.
 type LRUEngine struct {
 	ways  int
-	full  uint64 // every way's bit
 	stamp []uint64
 	clock uint64
 }
 
 // NewLRUEngine builds the LRU state for the given cache geometry.
 func NewLRUEngine(g Geometry) LRUEngine {
-	return LRUEngine{
-		ways:  g.Ways,
-		full:  uint64(1)<<uint(g.Ways) - 1,
-		stamp: make([]uint64, g.Sets*g.Ways),
-	}
+	return LRUEngine{ways: g.Ways, stamp: make([]uint64, g.Sets*g.Ways)}
 }
 
 // Touch moves the line to MRU: its stamp becomes the advanced clock.
@@ -41,6 +36,13 @@ func (e *LRUEngine) Touch(set, way int) {
 // ties. The oldest candidate is the minimum of stamp<<6 | way, so the way
 // bits break ties toward the lowest way and the scan has no data-dependent
 // branch.
+//
+// VictimFor stays out of line: inlined into Cache.Access, it slowed the
+// detailed simulation of perf's mix4-paper-sampled by 10%, every one of 10
+// alternating pairs slower (EXPERIMENTS.md, "LRU engine and a four-field
+// cache.Result").
+//
+//go:noinline
 func (e *LRUEngine) VictimFor(set int, valid, ways uint64) int {
 	if inv := ways &^ valid; inv != 0 {
 		return bits.TrailingZeros64(inv)
@@ -48,15 +50,9 @@ func (e *LRUEngine) VictimFor(set int, valid, ways uint64) int {
 	base := set * e.ways
 	stamps := e.stamp[base : base+e.ways]
 	best := ^uint64(0)
-	if ways == e.full {
-		for w, s := range stamps {
-			best = min(best, s<<6|uint64(w))
-		}
-	} else {
-		for m := ways; m != 0; m &= m - 1 {
-			w := bits.TrailingZeros64(m)
-			best = min(best, stamps[w]<<6|uint64(w))
-		}
+	for m := ways; m != 0; m &= m - 1 {
+		w := bits.TrailingZeros64(m)
+		best = min(best, stamps[w]<<6|uint64(w))
 	}
 	return int(best & 63)
 }
