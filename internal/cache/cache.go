@@ -141,8 +141,9 @@ type Line struct {
 // it in Bypasses.
 //
 // Result and EvictedLine keep at most four fields and four words, so the
-// compiler keeps a returned Result in registers; TestResultFitsInRegisters
-// gives the measured cost of a larger one.
+// compiler keeps a returned Result in registers instead of spilling it to
+// the caller's stack; TestResultFitsInRegisters gives the measured cost of
+// a larger one.
 type Result struct {
 	Hit          bool
 	EvictedValid bool        // a valid line was displaced by the fill

@@ -357,23 +357,26 @@ func TestNewPanicsOnBadInput(t *testing.T) {
 }
 
 // TestResultFitsInRegisters fails if Result or EvictedLine grows past four
-// fields, or Result past four words. Go's compiler keeps a struct in
-// registers only within both limits (ssa.CanSSA), and Access returns a
-// Result on every reference, to eight call sites in internal/sim. When
-// Result had five fields, each caller stored the returned fields to its
-// stack, the bools one byte at a time, and reloaded the bools as one word.
-// The CPU cannot forward narrow stores to a wider load, so the load stalled
-// until the stores retired. In a CPU profile of a detailed mixA run on the
-// unscaled Table 3 machine (Go 1.24, Intel Xeon), the stalls after the L1
-// and the L2 Access calls of corePath.access held 6.9% of the samples, the
-// two hottest instructions of that function.
+// fields, or Result past four words. Go's compiler keeps a struct in SSA
+// values, and so in registers, only within both limits (ssa.CanSSA). A
+// larger struct still comes back from a call in registers, but the caller
+// then stores it to a stack temporary and reads its fields from there.
+// Access returns a Result on every reference, to eight call sites in
+// internal/sim. When Result had five fields, each caller stored the
+// returned fields to its stack, the bools one byte at a time, and reloaded
+// the bools as one word. The CPU cannot forward narrow stores to a wider
+// load, so the load stalled until the stores retired. In a CPU profile of
+// a detailed mixA run on the unscaled Table 3 machine (Go 1.24, Intel
+// Xeon), the stalls after the L1 and the L2 Access calls of
+// corePath.access held 6.9% of the samples, the two hottest instructions
+// of that function.
 func TestResultFitsInRegisters(t *testing.T) {
 	for _, typ := range []reflect.Type{reflect.TypeOf(Result{}), reflect.TypeOf(EvictedLine{})} {
 		if n := typ.NumField(); n > 4 {
-			t.Errorf("%s has %d fields; a struct of more than four is returned through memory", typ, n)
+			t.Errorf("%s has %d fields; the compiler spills a struct of more than four to the stack", typ, n)
 		}
 	}
 	if size, limit := unsafe.Sizeof(Result{}), 4*unsafe.Sizeof(uintptr(0)); size > limit {
-		t.Errorf("Result is %d bytes; a struct larger than %d is returned through memory", size, limit)
+		t.Errorf("Result is %d bytes; the compiler spills a struct larger than %d to the stack", size, limit)
 	}
 }
