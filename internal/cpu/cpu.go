@@ -31,6 +31,16 @@ type MemSystem interface {
 	Access(core int, now uint64, addr uint64, write bool, pc uint64) (done uint64)
 }
 
+// Prober is the optional capability of a MemSystem that lets RunAhead run
+// a core past the global event order. Private reports whether a reference
+// to addr would touch only the core's own state, changing nothing by
+// asking: in internal/sim, an L1 hit, which fires no prefetch, evicts
+// nothing and never reaches the L2 or the shared substrate. The core does
+// not hold its prober; the event loop passes one per batch.
+type Prober interface {
+	Private(addr uint64) bool
+}
+
 // FunctionalMem is the timing-free sibling of MemSystem, driven by
 // RunFunctional during sampled-fidelity warming gaps: one call per memory
 // reference, updating cache and policy state at nominal latencies with no
@@ -259,10 +269,10 @@ func (c *Core) Step() uint64 {
 }
 
 // RunBatch executes Steps until a stop condition fires and returns the
-// core's clock. It is the bounded-step API the event loop in internal/sim
-// batches through: the loop proves a core is the globally earliest runnable
-// core and lets it run — without per-step heap traffic — exactly as long as
-// that proof holds. Stop conditions:
+// core's clock. It is RunAhead with no prober, so every step it runs is in
+// order: the caller proves the core is the globally earliest runnable core
+// and lets it run, without per-step heap traffic, exactly as long as that
+// proof holds. Stop conditions:
 //
 //   - the clock passes limit: clock > limit, or clock >= limit when
 //     yieldAtTie (the runner-up core wins clock ties, so equality means
@@ -276,20 +286,64 @@ func (c *Core) Step() uint64 {
 // continues the identical step sequence, which is what makes simulation
 // results independent of how the caller sizes its batches.
 func (c *Core) RunBatch(limit uint64, yieldAtTie bool, maxSteps int, retireAt uint64) uint64 {
+	return c.RunAhead(limit, yieldAtTie, maxSteps, retireAt, 0, true, nil)
+}
+
+// RunAhead is the step loop of the event loop in internal/sim. It runs
+// RunBatch's in-order steps, and once the clock passes limit it keeps
+// going while the next step is private: p reports the next op's reference
+// private (see Prober), and the step is inside its bound.
+//
+//   - With retireAt > 0 (a core short of the target), the step must not
+//     reach retireAt: retired + gap + 1 < retireAt. A crossing step runs
+//     only in order.
+//   - The step's key (clock before the step, core index) must be below the
+//     horizon: clock < horizon, or clock == horizon when !yieldAtHorizon
+//     (the horizon's core index is above this core's).
+//
+// maxSteps counts every step, so maxSteps 1 runs one in-order step, and a
+// nil p runs in-order steps only. Deciding that the next step is private
+// may refill the op ring, which is itself private: the op stream is the
+// same whenever it is drawn.
+func (c *Core) RunAhead(limit uint64, yieldAtTie bool, maxSteps int, retireAt uint64,
+	horizon uint64, yieldAtHorizon bool, p Prober) uint64 {
 	steps := 0
 	for {
 		clock := c.Step()
 		if retireAt > 0 && c.retired >= retireAt {
 			return clock
 		}
-		if clock > limit || (yieldAtTie && clock >= limit) {
-			return clock
-		}
 		steps++
 		if maxSteps > 0 && steps >= maxSteps {
 			return clock
 		}
+		if passed(clock, limit, yieldAtTie) && !c.nextPrivate(retireAt, horizon, yieldAtHorizon, p) {
+			return clock
+		}
 	}
+}
+
+// passed reports whether clock has reached the bound (limit, yieldAtTie):
+// clock > limit, or clock == limit when yieldAtTie.
+func passed(clock, limit uint64, yieldAtTie bool) bool {
+	return clock > limit || (yieldAtTie && clock >= limit)
+}
+
+// nextPrivate reports whether RunAhead may run the core's next step out of
+// order: p calls its reference private, it does not reach retireAt, and its
+// key is below the horizon. The cheap bounds go before the probe.
+func (c *Core) nextPrivate(retireAt, horizon uint64, yieldAtHorizon bool, p Prober) bool {
+	if p == nil || passed(c.clock, horizon, yieldAtHorizon) {
+		return false
+	}
+	if c.opNext == len(c.ops) {
+		c.refill()
+	}
+	op := &c.ops[c.opNext]
+	if retireAt > 0 && c.retired+uint64(op.Gap)+1 >= retireAt {
+		return false
+	}
+	return p.Private(op.Addr)
 }
 
 // RunFunctional retires instructions in functional-warming mode until the

@@ -340,3 +340,135 @@ func TestRunFunctionalSameOpStream(t *testing.T) {
 		}
 	}
 }
+
+// probeMem is a memory system with the Prober capability: the addresses in
+// private probe private, every access completes after one cycle, and calls
+// counts the accesses.
+type probeMem struct {
+	private map[uint64]bool
+	calls   int
+}
+
+func (m *probeMem) Access(core int, now uint64, addr uint64, write bool, pc uint64) uint64 {
+	m.calls++
+	return now + 1
+}
+
+func (m *probeMem) Private(addr uint64) bool { return m.private[addr] }
+
+// storeCore builds a core with the given id that replays stores to addrs,
+// each four instructions (gap 3), so that at width 4 a step advances the
+// clock by exactly one cycle and nothing ever stalls: after k steps the
+// clock is k and retired is 4k.
+func storeCore(id int, mem MemSystem, addrs ...uint64) *Core {
+	ops := make([]trace.Op, len(addrs))
+	for i, a := range addrs {
+		ops[i] = trace.Op{Addr: a, Gap: 3, Write: true}
+	}
+	conf := cfg()
+	conf.ID = id
+	return New(conf, &scriptGen{ops: ops}, mem)
+}
+
+// TestRunAheadStopRules pins RunAhead's stop rules for a batch that has
+// passed its limit after its first step: it runs on through private steps
+// and stops before the first non-private one, before a step that would
+// reach retireAt, and at the horizon, with the core-index tie-break at
+// equal clocks. maxSteps counts run-ahead steps too.
+func TestRunAheadStopRules(t *testing.T) {
+	const noLimit = ^uint64(0)
+	cases := []struct {
+		name           string
+		id             int
+		addrs          []uint64 // the script; address 1 probes private
+		limit          uint64   // with yieldAtTie; 0 is passed by the first step
+		maxSteps       int
+		retireAt       uint64
+		horizon        uint64
+		yieldAtHorizon bool
+		wantSteps      int
+	}{
+		// The first step runs in order whatever it touches; the next two
+		// are private, the fourth is not.
+		{name: "private steps, then a shared one", addrs: []uint64{9, 1, 1, 9, 1}, horizon: noLimit, wantSteps: 3},
+		{name: "no private step", addrs: []uint64{1, 9}, horizon: noLimit, wantSteps: 1},
+		// Retired is 4 after the first step and 8 after the second; the
+		// third would reach 12 >= 10.
+		{name: "stops before crossing retireAt", addrs: []uint64{1}, retireAt: 10, horizon: noLimit, wantSteps: 2},
+		{name: "crossing at retireAt exactly", addrs: []uint64{1}, retireAt: 12, horizon: noLimit, wantSteps: 2},
+		// Core 1 below the horizon (5, core 2): its step at clock 5 has
+		// the smaller key and runs, the one at clock 6 does not.
+		{name: "horizon of a higher core index", id: 1, addrs: []uint64{1}, horizon: 5, yieldAtHorizon: false, wantSteps: 6},
+		// Horizon (5, core 0) or (5, core 1) itself: the step at clock 5
+		// is not below it.
+		{name: "horizon of a lower core index", id: 1, addrs: []uint64{1}, horizon: 5, yieldAtHorizon: true, wantSteps: 5},
+		// In-order steps (clock still below the limit 3) ignore the horizon.
+		{name: "in-order steps ignore the horizon", addrs: []uint64{1}, limit: 3, horizon: 0, yieldAtHorizon: true, wantSteps: 3},
+		{name: "maxSteps bounds run-ahead", addrs: []uint64{1}, maxSteps: 4, horizon: noLimit, wantSteps: 4},
+		{name: "maxSteps 1 runs one step", addrs: []uint64{1}, maxSteps: 1, horizon: noLimit, wantSteps: 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := &probeMem{private: map[uint64]bool{1: true}}
+			c := storeCore(tc.id, mem, tc.addrs...)
+			clock := c.RunAhead(tc.limit, true, tc.maxSteps, tc.retireAt, tc.horizon, tc.yieldAtHorizon, mem)
+			if mem.calls != tc.wantSteps {
+				t.Fatalf("ran %d steps, want %d", mem.calls, tc.wantSteps)
+			}
+			if clock != uint64(tc.wantSteps) || c.Retired() != 4*uint64(tc.wantSteps) {
+				t.Fatalf("clock %d and retired %d after %d steps, want %d and %d",
+					clock, c.Retired(), mem.calls, tc.wantSteps, 4*tc.wantSteps)
+			}
+		})
+	}
+}
+
+// TestRunAheadInOrderWithoutProbe: with no prober, RunAhead and RunBatch
+// run exactly the in-order steps of the original RunBatch loop, whatever
+// the horizon says.
+func TestRunAheadInOrderWithoutProbe(t *testing.T) {
+	// inOrder is RunBatch's loop before run-ahead existed.
+	inOrder := func(c *Core, limit uint64, yieldAtTie bool, maxSteps int, retireAt uint64) uint64 {
+		steps := 0
+		for {
+			clock := c.Step()
+			if retireAt > 0 && c.retired >= retireAt {
+				return clock
+			}
+			if clock > limit || (yieldAtTie && clock >= limit) {
+				return clock
+			}
+			steps++
+			if maxSteps > 0 && steps >= maxSteps {
+				return clock
+			}
+		}
+	}
+	newCore := func() *Core {
+		g := trace.NewWorkingSet(trace.Params{
+			Base: 1 << 30, MemRatio: 0.3, WriteRatio: 0.3, PCBase: 0x400000, Seed: 5,
+		}, 4096, 0.1, 0.7)
+		return New(cfg(), g, &fixedMem{latency: 40})
+	}
+	ref, batch, ahead := newCore(), newCore(), newCore()
+	for i := 0; i < 300; i++ {
+		limit := ref.Clock() + uint64(i%7)*9
+		yieldAtTie := i%2 == 0
+		maxSteps := i % 5
+		retireAt := uint64(0)
+		if i%3 == 0 {
+			retireAt = ref.Retired() + uint64(i%11)*13
+		}
+		want := inOrder(ref, limit, yieldAtTie, maxSteps, retireAt)
+		if got := batch.RunBatch(limit, yieldAtTie, maxSteps, retireAt); got != want {
+			t.Fatalf("call %d: RunBatch returned clock %d, the in-order loop %d", i, got, want)
+		}
+		if got := ahead.RunAhead(limit, yieldAtTie, maxSteps, retireAt, ^uint64(0), false, nil); got != want {
+			t.Fatalf("call %d: RunAhead with no prober returned clock %d, the in-order loop %d", i, got, want)
+		}
+		if batch.Retired() != ref.Retired() || ahead.Retired() != ref.Retired() {
+			t.Fatalf("call %d: retired %d (RunBatch) and %d (RunAhead), in-order loop %d",
+				i, batch.Retired(), ahead.Retired(), ref.Retired())
+		}
+	}
+}

@@ -39,10 +39,7 @@ func BenchmarkRunMix4(b *testing.B) {
 // BenchmarkRunMix16 is a balanced 16-core mix: private work (trace
 // generation, core stepping, L1/L2) dominates the profile.
 func BenchmarkRunMix16(b *testing.B) {
-	benchRun(b, 16, []string{
-		"calc", "mcf", "libq", "gcc", "lbm", "art", "eon", "gob",
-		"milc", "mesa", "STRM", "calc", "mcf", "libq", "gcc", "lbm",
-	})
+	benchRun(b, 16, balanced16)
 }
 
 // BenchmarkRunMix16Streaming is the substrate-bound counterpart: a 16-core

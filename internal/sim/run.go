@@ -87,9 +87,10 @@ func (r Result) IPCs() []float64 {
 // (clock, idx) pair order.
 //
 // The loop's access pattern never needs push or pop: the root core runs
-// until it stops being the minimum, so each batch is one root-key update
-// plus one sift-down, and the runner-up — the batch limit — is read
-// directly off the root's children. The System reuses one frontier across
+// until it stops being the minimum (and on through any private steps it
+// may run ahead), so each batch is one root-key update plus one sift-down,
+// and the runner-up — the batch limit — is read directly off the root's
+// children. The System reuses one frontier across
 // runUntilRetired calls (reset keeps the backing array), keeping the
 // measured loop allocation-free.
 type frontier struct {
@@ -108,7 +109,7 @@ func (h *frontier) reset(n int) {
 
 // add appends a core before the first build; build establishes the heap.
 func (h *frontier) add(clock uint64, idx int) {
-	h.key = append(h.key, clock<<h.shift|uint64(idx))
+	h.key = append(h.key, h.keyOf(clock, idx))
 }
 
 func (h *frontier) build() {
@@ -116,6 +117,9 @@ func (h *frontier) build() {
 		h.siftDown(i)
 	}
 }
+
+// keyOf packs (clock, idx) into a heap key.
+func (h *frontier) keyOf(clock uint64, idx int) uint64 { return clock<<h.shift | uint64(idx) }
 
 // rootIdx returns the core index at the heap root.
 func (h *frontier) rootIdx() int { return int(h.key[0] & h.mask) }
@@ -166,14 +170,15 @@ func (h *frontier) runnerUp() int {
 	}
 }
 
-// SetMaxBatch caps how many steps a core may execute per event-loop batch.
-// Zero (the default) is adaptive: a batch is bounded only by the inter-core
-// slack — the core runs exactly until it stops being the globally earliest
-// runnable core — which is both the fastest and the largest safe batch.
-// The cap exists for tests proving batch invariance: any positive value
-// yields bit-identical results to any other, because a capped batch simply
-// re-proves the same core is still earliest and continues the identical
-// step sequence.
+// SetMaxBatch caps how many steps a core may execute per event-loop batch,
+// its run-ahead steps included. Zero (the default) is adaptive: a batch runs
+// until the core stops being the globally earliest runnable core and then
+// on through its private steps (see runUntilRetired), which is both the
+// fastest and the largest safe batch. The cap exists for tests proving
+// batch invariance: any positive value yields bit-identical results to any
+// other. SetMaxBatch(1) runs every step in strict (clock, core-index) order,
+// one step per batch with no run-ahead, and is the in-order reference the
+// invariance tests compare against.
 func (s *System) SetMaxBatch(n int) { s.maxBatch = n }
 
 // runUntilRetired advances cores in global-clock order until each has
@@ -182,13 +187,34 @@ func (s *System) SetMaxBatch(n int) { s.maxBatch = n }
 // the first time it crosses the target; cores keep running (to preserve
 // interference) until every core has crossed.
 //
-// Ordering contract: cores execute steps in strictly increasing
-// (clock, core-index) order — the core with the smallest local clock steps
-// next, and clock ties go to the smaller core index. Batching never relaxes
-// this: a core batches steps exactly while it would still be chosen by that
-// rule (its clock stays below the runner-up's, or equal with a smaller
-// index). The executed step sequence — and therefore every Result bit — is
-// thus independent of batch size; see TestBatchInvariance.
+// Ordering contract. A step's key is (the core's clock before the step, core
+// index). The reference order runs steps in increasing key order, one at a
+// time (SetMaxBatch(1)), and stops right after the step at which the last
+// core short of the target crosses it; call that step's key K*. Every step
+// that touches state outside its core keeps that order: it runs only while
+// its core is the frontier's root and its key is below the runner-up's.
+// Batching that way never relaxes the order.
+//
+// A private step (cpu.Prober: its block hits the core's L1) touches only the
+// core, its op ring and generator, and its L1, and no other core's step
+// touches those, so it commutes with every other core's step: the loop may
+// run it ahead of the global minimum (cpu.Core.RunAhead) without changing
+// any state another step reads. Two bounds keep the set of executed steps
+// the reference's, each core's steps with keys below K* plus the step at K*:
+//
+//   - No early crossing: a core short of the target runs no crossing step
+//     ahead of order (RunAhead's retireAt), so crossings run in increasing
+//     key order and the last one executed is K*.
+//   - The horizon: a core that has crossed runs ahead only below H, the
+//     largest key at which a core short of the target has been seen
+//     pending (at entry or after one of its batches). That core crosses at
+//     or after that key, so H ≤ K*. The core-index tie-break applies at
+//     equal clocks. The horizon also ends the loop: without it, a crossed
+//     core whose ops all hit its L1 would never stop.
+//
+// The executed steps, and therefore every Result bit and every cache line,
+// are thus independent of batch size; see TestBatchInvariance and
+// TestRunAheadMatchesInOrder.
 func (s *System) runUntilRetired(target uint64, freezeCycles, freezeInstr []uint64) {
 	n := len(s.cores)
 	record := func(i int) {
@@ -203,11 +229,10 @@ func (s *System) runUntilRetired(target uint64, freezeCycles, freezeInstr []uint
 	// Participants: every core joins the frontier. Cores already at or past
 	// the target — at entry (sampled-mode windows re-enter with fast cores
 	// ahead of the next boundary) or crossing mid-run — are recorded
-	// immediately but keep executing in clock order (to preserve contention)
-	// until every core short of the target has crossed. The frontier and
-	// done scratch live on the System so steady-state calls (one per
-	// measurement window, or per step of the allocation gate) allocate
-	// nothing.
+	// immediately but keep executing (to preserve contention) until every
+	// core short of the target has crossed. The frontier and done scratch
+	// live on the System so steady-state calls (one per measurement window,
+	// or per step of the allocation gate) allocate nothing.
 	h := &s.frontier
 	h.reset(n)
 	if len(s.doneScratch) < n {
@@ -218,12 +243,14 @@ func (s *System) runUntilRetired(target uint64, freezeCycles, freezeInstr []uint
 		done[i] = false
 	}
 	remaining := 0
+	horizon := uint64(0) // H, as a frontier key
 	for i, c := range s.cores {
 		if c.Retired() >= target {
 			done[i] = true
 			record(i)
 		} else {
 			remaining++
+			horizon = max(horizon, h.keyOf(c.Clock(), i))
 		}
 		h.add(c.Clock(), i)
 	}
@@ -237,17 +264,26 @@ func (s *System) runUntilRetired(target uint64, freezeCycles, freezeInstr []uint
 			limit = h.clockAt(ru)
 			yieldAtTie = h.idxAt(ru) < best
 		}
-		retireAt := uint64(0)
-		if !done[best] {
-			retireAt = target
+		// A core short of the target stops before its crossing step; one
+		// that has crossed stops at H, which at equal clocks it is below
+		// only if H's core index is higher.
+		retireAt, hClock, hTie := target, noLimit, false
+		if done[best] {
+			retireAt = 0
+			hClock, hTie = horizon>>h.shift, int(horizon&h.mask) <= best
 		}
 
 		c := s.cores[best]
-		h.updateRoot(c.RunBatch(limit, yieldAtTie, s.maxBatch, retireAt))
-		if !done[best] && c.Retired() >= target {
+		clock := c.RunAhead(limit, yieldAtTie, s.maxBatch, retireAt, hClock, hTie, s.paths[best])
+		h.updateRoot(clock)
+		switch {
+		case done[best]:
+		case c.Retired() >= target:
 			done[best] = true
 			remaining--
 			record(best)
+		default:
+			horizon = max(horizon, h.keyOf(clock, best))
 		}
 	}
 }

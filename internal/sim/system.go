@@ -184,6 +184,16 @@ func (p *corePath) Access(_ int, now uint64, addr uint64, write bool, pc uint64)
 	return p.access(now, addr, write, pc, true)
 }
 
+// Private implements cpu.Prober: a reference is private when its block hits
+// this core's L1. Such an access only marks the line dirty or recent; it
+// fires no prefetch, evicts nothing and never reaches the L2 or p.sub, so
+// the event loop may run it ahead of the other cores. Lookup changes no
+// state.
+func (p *corePath) Private(addr uint64) bool {
+	_, hit := p.l1.Lookup(addr)
+	return hit
+}
+
 // access walks the private hierarchy and, on an L2 miss, crosses into the
 // substrate. Everything it touches before p.sub is per-core state.
 func (p *corePath) access(now uint64, block uint64, write bool, pc uint64, demand bool) uint64 {
