@@ -91,11 +91,13 @@ serve-smoke: build
 	sh scripts/serve_smoke.sh
 
 # CI allocation gate: the measured simulation loop must be allocation-free
-# at steady state (testing.AllocsPerRun == 0, see internal/sim/alloc_test.go)
-# and the policy/sim hot-path benchmarks must run with -benchmem so a
-# regression shows up as allocs/op in the artifact, not just as time.
+# at steady state (testing.AllocsPerRun == 0, see internal/sim/alloc_test.go),
+# building a machine must make exactly its pinned number of allocations
+# (TestConstructionAllocs), and the policy/sim hot-path benchmarks must run
+# with -benchmem so a regression shows up as allocs/op in the artifact, not
+# just as time.
 allocs-gate:
-	$(GO) test -run 'TestMeasuredLoopAllocFree' -count=1 -v ./internal/sim
+	$(GO) test -run 'TestMeasuredLoopAllocFree|TestConstructionAllocs' -count=1 -v ./internal/sim
 	$(GO) test -bench 'Victim$$|VictimDistant$$|VictimAllWays$$' -benchmem -benchtime 1x -run '^$$' ./internal/policy
 	$(GO) test -bench 'RunMix16$$' -benchmem -benchtime 1x -run '^$$' ./internal/sim
 

@@ -43,3 +43,36 @@ func TestMeasuredLoopAllocFree(t *testing.T) {
 		t.Fatalf("measured loop allocated %.1f times per %d-instruction window; want 0", allocs, step)
 	}
 }
+
+// raceBuild is set in builds with the race detector (race_test.go).
+var raceBuild bool
+
+// TestConstructionAllocs pins how many allocations building a machine
+// makes, exactly. Construction cost shows up in perf's setup_s, whose
+// wall time moves with the Go scavenger's page-fault modes, and in the
+// one-shot RunMix16 benchmark, whose allocs/op varies by a few between
+// runs of one binary; neither shows a small regression. This count is
+// deterministic. Machines: perf's mix16-balanced (16 cores, caches scaled
+// 64x down) and mixA on the unscaled Table 3 machine, both TA-DRRIP.
+func TestConstructionAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector changes allocation counts")
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		names []string
+		want  float64
+	}{
+		{"balanced16/x64", quickConfig(len(balanced16)), balanced16, 855},
+		{"mixA/unscaled", DefaultConfig(4), []string{"calc", "mcf", "libq", "lbm"}, 271},
+	} {
+		cfg := tc.cfg
+		cfg.LLCPolicy = "tadrrip"
+		got := testing.AllocsPerRun(3, func() { NewFromNames(cfg, tc.names) })
+		if got != tc.want {
+			t.Errorf("%s: construction made %v allocations, pinned at %v. If the change is deliberate, re-pin the count here and say why in CHANGES.md",
+				tc.name, got, tc.want)
+		}
+	}
+}

@@ -90,9 +90,9 @@ func (r Result) IPCs() []float64 {
 // until it stops being the minimum (and on through any private steps it
 // may run ahead), so each batch is one root-key update plus one sift-down,
 // and the runner-up — the batch limit — is read directly off the root's
-// children. The System reuses one frontier across
-// runUntilRetired calls (reset keeps the backing array), keeping the
-// measured loop allocation-free.
+// children. The System reuses one frontier across runUntilRetired calls
+// (reset keeps the backing array), keeping the measured loop
+// allocation-free.
 type frontier struct {
 	key   []uint64 // clock<<shift | core index
 	shift uint     // index bits
