@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race lint vet fmt-check docs-check perf-check perf-ab bench bench-smoke serve-smoke allocs-gate paperfig ci clean
+.PHONY: all build test test-race lint vet fmt-check docs-check perf-check perf-ab profile bench bench-smoke serve-smoke allocs-gate paperfig ci clean
 
 all: build
 
@@ -48,6 +48,17 @@ PERF_FLAGS ?=
 perf-ab:
 	@test -n "$(BASE)" || { echo "usage: make perf-ab BASE=<ref> [PAIRS=10] [PERF_FLAGS=...]"; exit 2; }
 	bash scripts/perf_ab.sh -n $(PAIRS) $(BASE) $(PERF_FLAGS)
+
+# Where the detailed loop's time goes: a CPU profile of 8 runs of the
+# balanced Mix16 benchmark (BenchmarkRunMix16), then pprof's table of it.
+# Its shares track perf's mix16-balanced workload; EXPERIMENTS.md quotes
+# them. The test binary and the profile go to PROFILE_DIR, by default a
+# new temporary directory, whose name the target prints last.
+profile:
+	@dir=$${PROFILE_DIR:-$$(mktemp -d)}; \
+	$(GO) test -run '^$$' -bench 'RunMix16$$' -benchtime 8x -o "$$dir/sim.test" -outputdir "$$dir" -cpuprofile mix16.prof ./internal/sim && \
+	$(GO) tool pprof -top "$$dir/sim.test" "$$dir/mix16.prof" && \
+	echo "profile: $$dir/mix16.prof"
 
 # Full benchmark sweep at Tiny fidelity (prints every regenerated table).
 bench:

@@ -358,33 +358,16 @@ func (c *Cache) Lookup(block uint64) (way int, ok bool) {
 // order, either way.
 func (c *Cache) Access(a *Access) Result {
 	set, tag := c.SetOf(a.Block), c.TagOf(a.Block)
-	c.stats.Accesses[a.Core]++
-	if a.Demand {
-		c.stats.DemandAccesses[a.Core]++
-	}
-
 	if w := c.findWay(set, tag); w >= 0 {
-		bit := uint64(1) << uint(w)
-		if a.Write {
-			c.dirty[set] |= bit
-		}
-		if !a.Demand {
-			return Result{Hit: true}
-		}
-		c.pref[set] &^= bit
-		if lru := c.hot.LRU; lru != nil {
-			lru.Touch(set, w)
-		} else if c.hot.PlainHit {
-			c.hot.Engine.Promote(set, w)
-		} else {
-			c.policy.OnHit(a, set, w)
-		}
+		c.hit(a, set, w)
 		return Result{Hit: true}
 	}
 
 	// Miss.
+	c.stats.Accesses[a.Core]++
 	c.stats.Misses[a.Core]++
 	if a.Demand {
+		c.stats.DemandAccesses[a.Core]++
 		c.stats.DemandMisses[a.Core]++
 		if c.miss != nil {
 			c.miss.OnMiss(a, set)
@@ -447,6 +430,45 @@ func (c *Cache) Access(a *Access) Result {
 		c.policy.OnFill(a, set, way)
 	}
 	return res
+}
+
+// Hit performs a if its block is present, exactly as Access would, and
+// reports whether it was. A false answer changes nothing: no counter, no
+// line and no policy state, so the caller may go on to Access with the
+// same record. The run-ahead probe of internal/sim calls it on the L1, so
+// that a private step scans its L1 set once.
+func (c *Cache) Hit(a *Access) bool {
+	set := c.SetOf(a.Block)
+	w := c.findWay(set, c.TagOf(a.Block))
+	if w < 0 {
+		return false
+	}
+	c.hit(a, set, w)
+	return true
+}
+
+// hit performs a reference that found its block in way w of set: the
+// access counters, the dirty bit and, for a demand reference, the
+// prefetch-bit clear and the policy's hit update. It is the one hit path of
+// Access and Hit.
+func (c *Cache) hit(a *Access, set, w int) {
+	c.stats.Accesses[a.Core]++
+	bit := uint64(1) << uint(w)
+	if a.Write {
+		c.dirty[set] |= bit
+	}
+	if !a.Demand {
+		return
+	}
+	c.stats.DemandAccesses[a.Core]++
+	c.pref[set] &^= bit
+	if lru := c.hot.LRU; lru != nil {
+		lru.Touch(set, w)
+	} else if c.hot.PlainHit {
+		c.hot.Engine.Promote(set, w)
+	} else {
+		c.policy.OnHit(a, set, w)
+	}
 }
 
 // WritebackNoAllocate presents an upper level's dirty victim to this cache

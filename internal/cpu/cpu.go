@@ -32,13 +32,16 @@ type MemSystem interface {
 }
 
 // Prober is the optional capability of a MemSystem that lets RunAhead run
-// a core past the global event order. Private reports whether a reference
-// to addr would touch only the core's own state, changing nothing by
-// asking: in internal/sim, an L1 hit, which fires no prefetch, evicts
-// nothing and never reaches the L2 or the shared substrate. The core does
-// not hold its prober; the event loop passes one per batch.
+// a core past the global event order. Private performs the reference
+// (addr, write, pc) if it touches only the core's own state, and then
+// returns its latency, the cycles from issue to completion, and true: in
+// internal/sim, an L1 hit, which fires no prefetch, evicts nothing and never
+// reaches the L2 or the shared substrate. Otherwise it changes nothing and
+// returns false. A true answer has already performed the reference, so the
+// caller must run that op's step next, without calling Access for it. The
+// core does not hold its prober; the event loop passes one per batch.
 type Prober interface {
-	Private(addr uint64) bool
+	Private(addr uint64, write bool, pc uint64) (latency uint64, ok bool)
 }
 
 // FunctionalMem is the timing-free sibling of MemSystem, driven by
@@ -241,7 +244,13 @@ func (c *Core) refill() {
 // come off the pre-drawn ring; pre-drawing is invisible to the simulation
 // because generators are pure state machines — the op consumed at step N is
 // the same whether it was drawn at step N or batched ahead at step N-k.
-func (c *Core) Step() uint64 {
+func (c *Core) Step() uint64 { return c.step(false, 0) }
+
+// step is Step, and also the step of an op whose reference a Prober has
+// already performed (probed): that reference completes latency cycles after
+// it issues and does not go to mem. Everything else, the gap, the stalls,
+// the access count and the load's place in the window, is the same.
+func (c *Core) step(probed bool, latency uint64) uint64 {
 	if c.opNext == len(c.ops) {
 		c.refill()
 	}
@@ -259,7 +268,10 @@ func (c *Core) Step() uint64 {
 		c.drainOldest()
 	}
 
-	done := c.mem.Access(c.id, c.clock, op.Addr, op.Write, op.PC)
+	done := c.clock + latency
+	if !probed {
+		done = c.mem.Access(c.id, c.clock, op.Addr, op.Write, op.PC)
+	}
 	c.memAccesses++
 	if !op.Write {
 		c.pushLoad(inflight{instr: c.retired, done: done})
@@ -291,8 +303,8 @@ func (c *Core) RunBatch(limit uint64, yieldAtTie bool, maxSteps int, retireAt ui
 
 // RunAhead is the step loop of the event loop in internal/sim. It runs
 // RunBatch's in-order steps, and once the clock passes limit it keeps
-// going while the next step is private: p reports the next op's reference
-// private (see Prober), and the step is inside its bound.
+// going while the next step is inside its bound and private: p performs
+// the next op's reference (see Prober).
 //
 //   - With retireAt > 0 (a core short of the target), the step must not
 //     reach retireAt: retired + gap + 1 < retireAt. A crossing step runs
@@ -302,14 +314,16 @@ func (c *Core) RunBatch(limit uint64, yieldAtTie bool, maxSteps int, retireAt ui
 //     (the horizon's core index is above this core's).
 //
 // maxSteps counts every step, so maxSteps 1 runs one in-order step, and a
-// nil p runs in-order steps only. Deciding that the next step is private
-// may refill the op ring, which is itself private: the op stream is the
-// same whenever it is drawn.
+// nil p runs in-order steps only. The probe comes after every other stop
+// check, so a step whose reference p has performed always runs, with the
+// completion time p's latency gives. Probing may refill the op ring, which
+// is itself private: the op stream is the same whenever it is drawn.
 func (c *Core) RunAhead(limit uint64, yieldAtTie bool, maxSteps int, retireAt uint64,
 	horizon uint64, yieldAtHorizon bool, p Prober) uint64 {
 	steps := 0
+	probed, latency := false, uint64(0)
 	for {
-		clock := c.Step()
+		clock := c.step(probed, latency)
 		if retireAt > 0 && c.retired >= retireAt {
 			return clock
 		}
@@ -317,8 +331,11 @@ func (c *Core) RunAhead(limit uint64, yieldAtTie bool, maxSteps int, retireAt ui
 		if maxSteps > 0 && steps >= maxSteps {
 			return clock
 		}
-		if passed(clock, limit, yieldAtTie) && !c.nextPrivate(retireAt, horizon, yieldAtHorizon, p) {
-			return clock
+		probed = false
+		if passed(clock, limit, yieldAtTie) {
+			if latency, probed = c.nextPrivate(retireAt, horizon, yieldAtHorizon, p); !probed {
+				return clock
+			}
 		}
 	}
 }
@@ -330,20 +347,22 @@ func passed(clock, limit uint64, yieldAtTie bool) bool {
 }
 
 // nextPrivate reports whether RunAhead may run the core's next step out of
-// order: p calls its reference private, it does not reach retireAt, and its
-// key is below the horizon. The cheap bounds go before the probe.
-func (c *Core) nextPrivate(retireAt, horizon uint64, yieldAtHorizon bool, p Prober) bool {
+// order, and if so has p perform its reference and returns the reference's
+// latency: the step does not reach retireAt, its key is below the horizon,
+// and p finds its reference private. The probe goes last, so a true answer
+// is final.
+func (c *Core) nextPrivate(retireAt, horizon uint64, yieldAtHorizon bool, p Prober) (uint64, bool) {
 	if p == nil || passed(c.clock, horizon, yieldAtHorizon) {
-		return false
+		return 0, false
 	}
 	if c.opNext == len(c.ops) {
 		c.refill()
 	}
 	op := &c.ops[c.opNext]
 	if retireAt > 0 && c.retired+uint64(op.Gap)+1 >= retireAt {
-		return false
+		return 0, false
 	}
-	return p.Private(op.Addr)
+	return p.Private(op.Addr, op.Write, op.PC)
 }
 
 // RunFunctional retires instructions in functional-warming mode until the

@@ -341,20 +341,29 @@ func TestRunFunctionalSameOpStream(t *testing.T) {
 	}
 }
 
-// probeMem is a memory system with the Prober capability: the addresses in
-// private probe private, every access completes after one cycle, and calls
-// counts the accesses.
+// probeMem is a memory system with the Prober capability: a reference to
+// an address in private is private, and its probe performs it with latency
+// probeLat; every other reference goes to Access and completes after
+// accessLat cycles. calls counts Access calls, the in-order steps, and
+// probes the performed probes, the private steps.
 type probeMem struct {
-	private map[uint64]bool
-	calls   int
+	private             map[uint64]bool
+	accessLat, probeLat uint64
+	calls, probes       int
 }
 
 func (m *probeMem) Access(core int, now uint64, addr uint64, write bool, pc uint64) uint64 {
 	m.calls++
-	return now + 1
+	return now + m.accessLat
 }
 
-func (m *probeMem) Private(addr uint64) bool { return m.private[addr] }
+func (m *probeMem) Private(addr uint64, write bool, pc uint64) (uint64, bool) {
+	if !m.private[addr] {
+		return 0, false
+	}
+	m.probes++
+	return m.probeLat, true
+}
 
 // storeCore builds a core with the given id that replays stores to addrs,
 // each four instructions (gap 3), so that at width 4 a step advances the
@@ -374,7 +383,10 @@ func storeCore(id int, mem MemSystem, addrs ...uint64) *Core {
 // passed its limit after its first step: it runs on through private steps
 // and stops before the first non-private one, before a step that would
 // reach retireAt, and at the horizon, with the core-index tie-break at
-// equal clocks. maxSteps counts run-ahead steps too.
+// equal clocks. maxSteps counts run-ahead steps too. Each private step's
+// reference is the one its probe performed: Access sees the in-order steps
+// only, and when maxSteps, retireAt or the horizon stops the batch no probe
+// has run for a step that does not follow.
 func TestRunAheadStopRules(t *testing.T) {
 	const noLimit = ^uint64(0)
 	cases := []struct {
@@ -387,39 +399,64 @@ func TestRunAheadStopRules(t *testing.T) {
 		horizon        uint64
 		yieldAtHorizon bool
 		wantSteps      int
+		wantAhead      int // of wantSteps, the private steps run ahead
 	}{
 		// The first step runs in order whatever it touches; the next two
 		// are private, the fourth is not.
-		{name: "private steps, then a shared one", addrs: []uint64{9, 1, 1, 9, 1}, horizon: noLimit, wantSteps: 3},
+		{name: "private steps, then a shared one", addrs: []uint64{9, 1, 1, 9, 1}, horizon: noLimit, wantSteps: 3, wantAhead: 2},
 		{name: "no private step", addrs: []uint64{1, 9}, horizon: noLimit, wantSteps: 1},
 		// Retired is 4 after the first step and 8 after the second; the
 		// third would reach 12 >= 10.
-		{name: "stops before crossing retireAt", addrs: []uint64{1}, retireAt: 10, horizon: noLimit, wantSteps: 2},
-		{name: "crossing at retireAt exactly", addrs: []uint64{1}, retireAt: 12, horizon: noLimit, wantSteps: 2},
+		{name: "stops before crossing retireAt", addrs: []uint64{1}, retireAt: 10, horizon: noLimit, wantSteps: 2, wantAhead: 1},
+		{name: "crossing at retireAt exactly", addrs: []uint64{1}, retireAt: 12, horizon: noLimit, wantSteps: 2, wantAhead: 1},
 		// Core 1 below the horizon (5, core 2): its step at clock 5 has
 		// the smaller key and runs, the one at clock 6 does not.
-		{name: "horizon of a higher core index", id: 1, addrs: []uint64{1}, horizon: 5, yieldAtHorizon: false, wantSteps: 6},
+		{name: "horizon of a higher core index", id: 1, addrs: []uint64{1}, horizon: 5, yieldAtHorizon: false, wantSteps: 6, wantAhead: 5},
 		// Horizon (5, core 0) or (5, core 1) itself: the step at clock 5
 		// is not below it.
-		{name: "horizon of a lower core index", id: 1, addrs: []uint64{1}, horizon: 5, yieldAtHorizon: true, wantSteps: 5},
+		{name: "horizon of a lower core index", id: 1, addrs: []uint64{1}, horizon: 5, yieldAtHorizon: true, wantSteps: 5, wantAhead: 4},
 		// In-order steps (clock still below the limit 3) ignore the horizon.
 		{name: "in-order steps ignore the horizon", addrs: []uint64{1}, limit: 3, horizon: 0, yieldAtHorizon: true, wantSteps: 3},
-		{name: "maxSteps bounds run-ahead", addrs: []uint64{1}, maxSteps: 4, horizon: noLimit, wantSteps: 4},
+		{name: "maxSteps bounds run-ahead", addrs: []uint64{1}, maxSteps: 4, horizon: noLimit, wantSteps: 4, wantAhead: 3},
 		{name: "maxSteps 1 runs one step", addrs: []uint64{1}, maxSteps: 1, horizon: noLimit, wantSteps: 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mem := &probeMem{private: map[uint64]bool{1: true}}
+			mem := &probeMem{private: map[uint64]bool{1: true}, accessLat: 1, probeLat: 1}
 			c := storeCore(tc.id, mem, tc.addrs...)
 			clock := c.RunAhead(tc.limit, true, tc.maxSteps, tc.retireAt, tc.horizon, tc.yieldAtHorizon, mem)
-			if mem.calls != tc.wantSteps {
-				t.Fatalf("ran %d steps, want %d", mem.calls, tc.wantSteps)
+			steps := int(c.MemAccesses())
+			if steps != tc.wantSteps || mem.probes != tc.wantAhead {
+				t.Fatalf("ran %d steps, %d of them ahead; want %d and %d", steps, mem.probes, tc.wantSteps, tc.wantAhead)
+			}
+			if mem.calls != steps-mem.probes {
+				t.Fatalf("%d Access calls for %d steps and %d performed probes: a probed step went to Access, or a probe's step did not run",
+					mem.calls, steps, mem.probes)
 			}
 			if clock != uint64(tc.wantSteps) || c.Retired() != 4*uint64(tc.wantSteps) {
 				t.Fatalf("clock %d and retired %d after %d steps, want %d and %d",
-					clock, c.Retired(), mem.calls, tc.wantSteps, 4*tc.wantSteps)
+					clock, c.Retired(), steps, tc.wantSteps, 4*tc.wantSteps)
 			}
 		})
+	}
+}
+
+// TestRunAheadLoadTakesProbeLatency: a private load completes at its access
+// clock plus the latency its probe returned, not at a time from Access.
+func TestRunAheadLoadTakesProbeLatency(t *testing.T) {
+	mem := &probeMem{private: map[uint64]bool{1: true}, accessLat: 7, probeLat: 50}
+	// Two loads of four instructions each at width 4: the in-order load to
+	// 9 issues at clock 0 and completes at 7; the private load to 1 issues
+	// at clock 1; the next op, to 9 again, is not private.
+	c := New(cfg(), &scriptGen{ops: []trace.Op{{Addr: 9, Gap: 3}, {Addr: 1, Gap: 3}}}, mem)
+	if clock := c.RunAhead(0, true, 0, 0, ^uint64(0), false, mem); clock != 2 {
+		t.Fatalf("batch ended at clock %d, want 2 after one in-order and one private step", clock)
+	}
+	if mem.calls != 1 || mem.probes != 1 {
+		t.Fatalf("%d Access calls and %d performed probes, want 1 and 1", mem.calls, mem.probes)
+	}
+	if got, want := c.Drain(), uint64(1+50); got != want {
+		t.Fatalf("loads drained at clock %d, want %d: the private load's access clock 1 plus its probe latency", got, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -110,8 +111,9 @@ var balanced16 = []string{
 }
 
 // sameMachine fails t unless got's cores and caches are in want's state:
-// every core's clock, retired and access counts, and every line of every
-// L1, L2 and the LLC.
+// every core's clock, retired and access counts, and every line and every
+// Stats counter of every L1, L2 and the LLC. The counters catch a reference
+// performed twice, which leaves every line as once would.
 func sameMachine(t *testing.T, want, got *System) {
 	t.Helper()
 	for i, c := range got.cores {
@@ -131,6 +133,9 @@ func sameMachine(t *testing.T, want, got *System) {
 	wantCaches := caches(want)
 	for k, gc := range caches(got) {
 		wc := wantCaches[k]
+		if gs, ws := gc.Stats(), wc.Stats(); !reflect.DeepEqual(gs, ws) {
+			t.Fatalf("%s counters: %+v; in-order reference: %+v", gc.Config().Name, *gs, *ws)
+		}
 		g := gc.Config().Geometry
 		for set := 0; set < g.Sets; set++ {
 			for way := 0; way < g.Ways; way++ {

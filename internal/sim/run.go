@@ -199,8 +199,10 @@ func (s *System) SetMaxBatch(n int) { s.maxBatch = n }
 // core, its op ring and generator, and its L1, and no other core's step
 // touches those, so it commutes with every other core's step: the loop may
 // run it ahead of the global minimum (cpu.Core.RunAhead) without changing
-// any state another step reads. Two bounds keep the set of executed steps
-// the reference's, each core's steps with keys below K* plus the step at K*:
+// any state another step reads. Its probe performs the L1 hit, which does
+// not depend on time, and the step follows at once with the hit's latency.
+// Two bounds keep the set of executed steps the reference's, each core's
+// steps with keys below K* plus the step at K*:
 //
 //   - No early crossing: a core short of the target runs no crossing step
 //     ahead of order (RunAhead's retireAt), so crossings run in increasing

@@ -71,7 +71,7 @@ func (u *sharedSubstrate) Fetch(core int, block, pc uint64, write, demand bool, 
 	if demand && u.observe != nil {
 		u.observe(core, set, block)
 	}
-	u.scratchLLC = cache.Access{Block: block, Core: core, PC: pc, Write: write, Demand: demand}
+	setAccess(&u.scratchLLC, block, core, pc, write, demand, false)
 	rl := u.llc.Access(&u.scratchLLC)
 
 	// Clustering observes demand traffic after the lookup so the current
@@ -112,7 +112,7 @@ func (u *sharedSubstrate) Writeback(core int, block uint64, at uint64) uint64 {
 	start := u.arb.Schedule(core, u.arb.BankOf(set), at)
 	done := start + u.cfg.LLCLatency
 
-	u.scratchWB = cache.Access{Block: block, Core: core, Write: true, Demand: false, Writeback: true}
+	setAccess(&u.scratchWB, block, core, 0, true, false, true)
 	if u.llc.WritebackNoAllocate(&u.scratchWB) {
 		return done
 	}
@@ -131,7 +131,7 @@ func (u *sharedSubstrate) fetchFunc(core int, block, pc uint64, write, demand bo
 	if demand && u.observe != nil {
 		u.observe(core, set, block)
 	}
-	u.scratchLLC = cache.Access{Block: block, Core: core, PC: pc, Write: write, Demand: demand}
+	setAccess(&u.scratchLLC, block, core, pc, write, demand, false)
 	rl := u.llc.Access(&u.scratchLLC)
 	if u.cluster != nil && demand {
 		u.cluster.Observe(core, block, !rl.Hit, 0)
@@ -144,6 +144,6 @@ func (u *sharedSubstrate) fetchFunc(core int, block, pc uint64, write, demand bo
 // dirty L2 victim (keeping its dirty bit and recency state honest for the
 // next detailed window); a miss writes through to nothing.
 func (u *sharedSubstrate) writebackFunc(core int, block uint64) {
-	u.scratchWB = cache.Access{Block: block, Core: core, Write: true, Demand: false, Writeback: true}
+	setAccess(&u.scratchWB, block, core, 0, true, false, true)
 	u.llc.WritebackNoAllocate(&u.scratchWB)
 }

@@ -187,27 +187,46 @@ func (p *corePath) Access(_ int, now uint64, addr uint64, write bool, pc uint64)
 // Private implements cpu.Prober: a reference is private when its block hits
 // this core's L1. Such an access only marks the line dirty or recent; it
 // fires no prefetch, evicts nothing and never reaches the L2 or p.sub, so
-// the event loop may run it ahead of the other cores. Lookup changes no
-// state.
-func (p *corePath) Private(addr uint64) bool {
-	_, hit := p.l1.Lookup(addr)
-	return hit
+// the event loop may run it ahead of the other cores. Private performs the
+// hit, as access would, and returns access's latency for it; on an L1 miss
+// it changes nothing.
+func (p *corePath) Private(addr uint64, write bool, pc uint64) (uint64, bool) {
+	setAccess(&p.scratchL1, addr, 0, pc, write, true, false)
+	if !p.l1.Hit(&p.scratchL1) {
+		return 0, false
+	}
+	return p.l1HitLatency(write), true
+}
+
+// l1HitLatency is the latency of an L1 hit: a store buffer absorbs a store
+// in one cycle, and a load takes the L1's hit latency.
+func (p *corePath) l1HitLatency(write bool) uint64 {
+	if write {
+		return 1
+	}
+	return p.cfg.L1Latency
+}
+
+// setAccess writes a scratch access record in place, field by field.
+// Assigning a composite literal to the record instead builds it in a stack
+// temporary and copies it over with 16-byte loads that span the temporary's
+// byte stores, a failed store-to-load forward.
+func setAccess(a *cache.Access, block uint64, core int, pc uint64, write, demand, writeback bool) {
+	a.Block, a.Core, a.PC = block, core, pc
+	a.Write, a.Demand, a.Writeback = write, demand, writeback
 }
 
 // access walks the private hierarchy and, on an L2 miss, crosses into the
 // substrate. Everything it touches before p.sub is per-core state.
 func (p *corePath) access(now uint64, block uint64, write bool, pc uint64, demand bool) uint64 {
 	// L1 lookup.
-	p.scratchL1 = cache.Access{Block: block, Core: 0, PC: pc, Write: write, Demand: demand}
+	setAccess(&p.scratchL1, block, 0, pc, write, demand, false)
 	r1 := p.l1.Access(&p.scratchL1)
 	if r1.EvictedValid && r1.Evicted.Dirty {
 		p.writebackToL2(r1.Evicted.Block, now)
 	}
 	if r1.Hit {
-		if write {
-			return now + 1 // store buffer absorbs the hit
-		}
-		return now + p.cfg.L1Latency
+		return now + p.l1HitLatency(write)
 	}
 
 	// Next-line prefetch on demand L1 misses (Table 3's L1 prefetcher).
@@ -219,7 +238,7 @@ func (p *corePath) access(now uint64, block uint64, write bool, pc uint64, deman
 
 	// L2 lookup.
 	t2 := now + p.cfg.L1Latency
-	p.scratchL2 = cache.Access{Block: block, Core: 0, PC: pc, Write: write, Demand: demand}
+	setAccess(&p.scratchL2, block, 0, pc, write, demand, false)
 	r2 := p.l2.Access(&p.scratchL2)
 	if r2.EvictedValid && r2.Evicted.Dirty {
 		p.writebackToLLC(r2.Evicted.Block, t2)
@@ -251,7 +270,7 @@ func (p *corePath) FunctionalAccess(addr uint64, write bool, pc uint64) {
 // funcAccess is access without time: same lookups, same order, no
 // reservations.
 func (p *corePath) funcAccess(block uint64, write bool, pc uint64, demand bool) {
-	p.scratchL1 = cache.Access{Block: block, Core: 0, PC: pc, Write: write, Demand: demand}
+	setAccess(&p.scratchL1, block, 0, pc, write, demand, false)
 	r1 := p.l1.Access(&p.scratchL1)
 	if r1.EvictedValid && r1.Evicted.Dirty {
 		p.funcWritebackToL2(r1.Evicted.Block)
@@ -264,7 +283,7 @@ func (p *corePath) funcAccess(block uint64, write bool, pc uint64, demand bool) 
 		p.funcAccess(block+1, false, pc, false)
 	}
 
-	p.scratchL2 = cache.Access{Block: block, Core: 0, PC: pc, Write: write, Demand: demand}
+	setAccess(&p.scratchL2, block, 0, pc, write, demand, false)
 	r2 := p.l2.Access(&p.scratchL2)
 	if r2.EvictedValid && r2.Evicted.Dirty {
 		p.sub.writebackFunc(p.id, r2.Evicted.Block)
@@ -278,7 +297,7 @@ func (p *corePath) funcAccess(block uint64, write bool, pc uint64, demand bool) 
 
 // funcWritebackToL2 is writebackToL2 without time.
 func (p *corePath) funcWritebackToL2(block uint64) {
-	p.scratchWB = cache.Access{Block: block, Core: 0, Write: true, Demand: false, Writeback: true}
+	setAccess(&p.scratchWB, block, 0, 0, true, false, true)
 	r := p.l2.Access(&p.scratchWB)
 	if r.EvictedValid && r.Evicted.Dirty {
 		p.sub.writebackFunc(p.id, r.Evicted.Block)
@@ -288,7 +307,7 @@ func (p *corePath) funcWritebackToL2(block uint64) {
 // writebackToL2 handles a dirty L1 victim: state-only write into the L2
 // (the L1-L2 interconnect is not a bottleneck in this study).
 func (p *corePath) writebackToL2(block uint64, now uint64) {
-	p.scratchWB = cache.Access{Block: block, Core: 0, Write: true, Demand: false, Writeback: true}
+	setAccess(&p.scratchWB, block, 0, 0, true, false, true)
 	r := p.l2.Access(&p.scratchWB)
 	if r.EvictedValid && r.Evicted.Dirty {
 		p.writebackToLLC(r.Evicted.Block, now)
