@@ -4,6 +4,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/rng"
 )
 
 func TestTimedPoolFreeEntryNoDelay(t *testing.T) {
@@ -181,5 +183,139 @@ func TestTimedPoolResetStats(t *testing.T) {
 	}
 	if p.InFlight() != 1 {
 		t.Fatal("ResetStats must not drop in-flight entries")
+	}
+}
+
+// TestTimedPoolMatchesHeapReference drives the pool and heapPool, the
+// binary min-heap pool it replaced, with the same random calls at
+// capacities 1, 2, 4 and 8, and compares Reserve's answer, StallCycles,
+// InFlight and BusyAt at random times after every call. Arrivals move back
+// and forth over a sliding window on a coarse grid, so full pools meet
+// displacement candidates that tie on arrival, and one window in eight is
+// degenerate.
+func TestTimedPoolMatchesHeapReference(t *testing.T) {
+	for _, capacity := range []int{1, 2, 4, 8} {
+		for seed := uint64(1); seed <= 40; seed++ {
+			p, ref := NewTimedPool(capacity), &heapPool{capacity: capacity}
+			src := rng.New(seed*0x9E3779B97F4A7C15 + uint64(capacity))
+			clock := uint64(64)
+			check := func(step int, call string) {
+				if p.StallCycles() != ref.stallCycles || p.InFlight() != len(ref.occs) {
+					t.Fatalf("cap %d seed %d step %d, after %s: stall %d, in flight %d; heap %d, %d",
+						capacity, seed, step, call, p.StallCycles(), p.InFlight(), ref.stallCycles, len(ref.occs))
+				}
+				for k := 0; k < 3; k++ {
+					at := clock - 64 + uint64(src.Intn(192))
+					if got, want := p.BusyAt(at), ref.busyAt(at); got != want {
+						t.Fatalf("cap %d seed %d step %d, after %s: BusyAt(%d) = %d, heap %d",
+							capacity, seed, step, call, at, got, want)
+					}
+				}
+			}
+			for step := 0; step < 400; step++ {
+				clock += uint64(src.Intn(4))
+				now := clock - 32 + 4*uint64(src.Intn(16))
+				start := p.Reserve(now)
+				if want := ref.reserve(now); start != want {
+					t.Fatalf("cap %d seed %d step %d: Reserve(%d) = %d, heap %d",
+						capacity, seed, step, now, start, want)
+				}
+				check(step, "Reserve")
+				until := start + 1 + uint64(src.Intn(48))
+				if src.Intn(8) == 0 {
+					until = now - uint64(src.Intn(2)) // degenerate: not tracked
+				}
+				p.Occupy(now, until)
+				ref.occupy(now, until)
+				check(step, "Occupy")
+			}
+		}
+	}
+}
+
+// heapPool is the TimedPool that kept its occupations in a binary min-heap
+// keyed by done time, kept as the reference for the sorted pool.
+type heapPool struct {
+	capacity    int
+	occs        []occupation
+	stallCycles uint64
+}
+
+func (p *heapPool) busyAt(t uint64) int {
+	n := 0
+	for _, o := range p.occs {
+		if o.arrival <= t && t < o.done {
+			n++
+		}
+	}
+	return n
+}
+
+func (p *heapPool) reserve(now uint64) uint64 {
+	for len(p.occs) > 0 && p.occs[0].done <= now {
+		p.removeAt(0)
+	}
+	if len(p.occs) < p.capacity {
+		return now
+	}
+	victim := -1
+	for i, o := range p.occs {
+		if o.arrival > now && (victim < 0 || o.arrival > p.occs[victim].arrival ||
+			(o.arrival == p.occs[victim].arrival && o.done > p.occs[victim].done)) {
+			victim = i
+		}
+	}
+	if victim >= 0 {
+		p.removeAt(victim)
+		return now
+	}
+	earliest := p.occs[0].done
+	p.removeAt(0)
+	p.stallCycles += earliest - now
+	return earliest
+}
+
+func (p *heapPool) occupy(arrivedAt, until uint64) {
+	if until <= arrivedAt {
+		return
+	}
+	p.occs = append(p.occs, occupation{arrival: arrivedAt, done: until})
+	p.siftUp(len(p.occs) - 1)
+}
+
+func (p *heapPool) siftUp(i int) int {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if p.occs[parent].done <= p.occs[i].done {
+			break
+		}
+		p.occs[parent], p.occs[i] = p.occs[i], p.occs[parent]
+		i = parent
+	}
+	return i
+}
+
+func (p *heapPool) removeAt(i int) {
+	n := len(p.occs) - 1
+	p.occs[i] = p.occs[n]
+	p.occs = p.occs[:n]
+	if i == n {
+		return
+	}
+	i = p.siftUp(i)
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < n && p.occs[l].done < p.occs[smallest].done {
+			smallest = l
+		}
+		if r < n && p.occs[r].done < p.occs[smallest].done {
+			smallest = r
+		}
+		if smallest == i {
+			return
+		}
+		p.occs[i], p.occs[smallest] = p.occs[smallest], p.occs[i]
+		i = smallest
 	}
 }

@@ -151,20 +151,33 @@ func TestXORMappingBreaksPowerOfTwoStride(t *testing.T) {
 	}
 }
 
+// TestMapRoundTripProperties checks Map against the division formula it
+// implements, rowID = block / blocksPerRow, bank = rowID % Banks (XORed
+// with row % Banks under XOR mapping), row = rowID / Banks, and that blocks
+// within one row map identically, with XOR mapping on and off.
 func TestMapRoundTripProperties(t *testing.T) {
-	m := New(Default())
-	f := func(block uint64) bool {
-		bank, row := m.Map(block)
-		if bank < 0 || bank >= m.cfg.Banks {
-			return false
+	for _, xor := range []bool{true, false} {
+		cfg := Default()
+		cfg.XORMapping = xor
+		m := New(cfg)
+		blocksPerRow := uint64(cfg.RowBytes / cfg.BlockBytes)
+		banks := uint64(cfg.Banks)
+		f := func(block uint64) bool {
+			bank, row := m.Map(block)
+			rowID := block / blocksPerRow
+			wantBank, wantRow := rowID%banks, rowID/banks
+			if xor {
+				wantBank ^= wantRow % banks
+			}
+			if bank != int(wantBank) || row != wantRow {
+				return false
+			}
+			b2, r2 := m.Map(block - block%blocksPerRow)
+			return b2 == bank && r2 == row
 		}
-		// Blocks within one row map identically.
-		rowBase := block - block%(uint64(m.cfg.RowBytes/m.cfg.BlockBytes))
-		b2, r2 := m.Map(rowBase)
-		return b2 == bank && r2 == row
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Fatalf("XOR mapping %v: %v", xor, err)
+		}
 	}
 }
 

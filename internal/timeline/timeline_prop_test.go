@@ -53,44 +53,60 @@ func (r *refTimeline) place(now, dur uint64) uint64 {
 //  3. earliest-gap placement: the start matches the brute-force reference,
 //     so a request is served at the first instant the resource is actually
 //     free at or after its own arrival, regardless of presentation order.
+//
+// The unbounded leg never prunes. The small-cap legs prune all the time and
+// draw arrivals from below the floor to past the newest interval. Pruned
+// intervals end at or below the floor, so the brute-force reference, which
+// keeps them all, still answers the clamped arrival. Every leg also checks
+// the binary-search reference, answer for answer.
 func TestPlacePropertyRandomArrivals(t *testing.T) {
 	type placed struct{ start, end uint64 }
-	for seed := uint64(1); seed <= 25; seed++ {
-		// Capacity far above the sequence length: pruning (covered by the
-		// unit tests) never fires, so the reference needs no floor model.
-		tl := New(1 << 20)
-		ref := &refTimeline{}
-		src := rng.New(seed * 0x9E3779B97F4A7C15)
-		var history []placed
-		for step := 0; step < 400; step++ {
-			// Arrivals jump arbitrarily backwards and forwards in time —
-			// far more hostile than the bounded skew of the event loop.
-			now := uint64(src.Intn(4096))
-			dur := uint64(src.Intn(8))
-			if src.Intn(8) == 0 {
-				dur = 0 // probe-only requests reserve nothing
-			}
-
-			got := tl.Place(now, dur)
-			want := ref.place(now, dur)
-			if got != want {
-				t.Fatalf("seed %d step %d: Place(%d,%d) = %d, reference %d",
-					seed, step, now, dur, got, want)
-			}
-			if got < now {
-				t.Fatalf("seed %d step %d: Place(%d,%d) served at %d, before arrival",
-					seed, step, now, dur, got)
-			}
-			if dur == 0 {
-				continue
-			}
-			for _, p := range history {
-				if got < p.end && p.start < got+dur {
-					t.Fatalf("seed %d step %d: [%d,%d) overlaps earlier reservation [%d,%d)",
-						seed, step, got, got+dur, p.start, p.end)
+	for _, cap := range append([]int{unbounded}, prunedCaps...) {
+		for seed := uint64(1); seed <= 25; seed++ {
+			tl := New(cap)
+			bs := &bsTimeline{cap: cap}
+			ref := &refTimeline{}
+			src := rng.New(seed * 0x9E3779B97F4A7C15)
+			var history []placed
+			for step := 0; step < 400; step++ {
+				// Arrivals jump arbitrarily backwards and forwards in time —
+				// far more hostile than the bounded skew of the event loop.
+				var now uint64
+				if cap == unbounded {
+					now = uint64(src.Intn(4096))
+				} else {
+					now = spread(src, tl.Floor(), tl.ends)
 				}
+				dur := uint64(src.Intn(8))
+				if src.Intn(8) == 0 {
+					dur = 0 // probe-only requests reserve nothing
+				}
+
+				floor := tl.Floor()
+				got := tl.Place(now, dur)
+				if want := ref.place(max(now, floor), dur); got != want {
+					t.Fatalf("cap %d seed %d step %d: Place(%d,%d) = %d, reference %d",
+						cap, seed, step, now, dur, got, want)
+				}
+				if want := bs.place(now, dur, true); got != want || tl.Floor() != bs.floor || tl.Intervals() != len(bs.starts) {
+					t.Fatalf("cap %d seed %d step %d: Place(%d,%d) = %d with floor %d and %d intervals, binary search %d, %d, %d",
+						cap, seed, step, now, dur, got, tl.Floor(), tl.Intervals(), want, bs.floor, len(bs.starts))
+				}
+				if got < now {
+					t.Fatalf("cap %d seed %d step %d: Place(%d,%d) served at %d, before arrival",
+						cap, seed, step, now, dur, got)
+				}
+				if dur == 0 {
+					continue
+				}
+				for _, p := range history {
+					if got < p.end && p.start < got+dur {
+						t.Fatalf("cap %d seed %d step %d: [%d,%d) overlaps earlier reservation [%d,%d)",
+							cap, seed, step, got, got+dur, p.start, p.end)
+					}
+				}
+				history = append(history, placed{got, got + dur})
 			}
-			history = append(history, placed{got, got + dur})
 		}
 	}
 }

@@ -107,64 +107,110 @@ func TestTrackPruneKeepsBaseState(t *testing.T) {
 }
 
 // TestTrackRandomAgainstReference drives Set/At with seeded random times
-// (no pruning) and checks against a brute-force latest-mark-at-or-before
-// scan.
+// and checks against a brute-force latest-mark-at-or-before scan. The
+// small-cap legs prune all the time and draw times from below the floor to
+// past the newest mark; there the brute-force scan holds for queries at or
+// above the floor, and every leg also checks the binary-search reference,
+// answer for answer.
 func TestTrackRandomAgainstReference(t *testing.T) {
-	for seed := uint64(1); seed <= 10; seed++ {
-		tr := NewTrack(1 << 20)
-		type mark struct{ at, tag uint64 }
-		var ref []mark
-		src := rng.New(seed * 0x9E3779B97F4A7C15)
-		for step := 0; step < 500; step++ {
-			at := uint64(src.Intn(1024))
-			tag := uint64(src.Intn(64))
-			tr.Set(at, tag)
-			replaced := false
-			for i := range ref {
-				if ref[i].at == at {
-					ref[i].tag = tag
-					replaced = true
+	for _, cap := range append([]int{unbounded}, prunedCaps...) {
+		for seed := uint64(1); seed <= 10; seed++ {
+			tr := NewTrack(cap)
+			bs := &bsTrack{cap: cap}
+			type mark struct{ at, tag uint64 }
+			var ref []mark
+			src := rng.New(seed * 0x9E3779B97F4A7C15)
+			for step := 0; step < 500; step++ {
+				var at uint64
+				if cap == unbounded {
+					at = uint64(src.Intn(1024))
+				} else {
+					at = spread(src, tr.Floor(), tr.times)
 				}
-			}
-			if !replaced {
-				ref = append(ref, mark{at, tag})
-			}
+				tag := uint64(src.Intn(64))
+				floor := tr.Floor()
+				tr.Set(at, tag)
+				bs.set(at, tag)
+				at = max(at, floor) // where Set clamped it
+				replaced := false
+				for i := range ref {
+					if ref[i].at == at {
+						ref[i].tag = tag
+						replaced = true
+					}
+				}
+				if !replaced {
+					ref = append(ref, mark{at, tag})
+				}
 
-			q := uint64(src.Intn(1100))
-			var wantTag uint64
-			wantOK := false
-			bestAt := uint64(0)
-			for _, m := range ref {
-				if m.at <= q && (!wantOK || m.at >= bestAt) {
-					wantOK, wantTag, bestAt = true, m.tag, m.at
+				var q uint64
+				if cap == unbounded {
+					q = uint64(src.Intn(1100))
+				} else {
+					q = spread(src, tr.Floor(), tr.times)
 				}
-			}
-			gotTag, gotOK := tr.At(q)
-			if gotOK != wantOK || (gotOK && gotTag != wantTag) {
-				t.Fatalf("seed %d step %d: At(%d) = (%d,%v), reference (%d,%v)",
-					seed, step, q, gotTag, gotOK, wantTag, wantOK)
+				gotTag, gotOK := tr.At(q)
+				bsTag, bsOK := bs.at(q)
+				if gotOK != bsOK || gotTag != bsTag || tr.Floor() != bs.floor || tr.Marks() != len(bs.times) {
+					t.Fatalf("cap %d seed %d step %d: At(%d) = (%d,%v) with floor %d and %d marks, binary search (%d,%v), %d, %d",
+						cap, seed, step, q, gotTag, gotOK, tr.Floor(), tr.Marks(), bsTag, bsOK, bs.floor, len(bs.times))
+				}
+				if q < tr.Floor() {
+					continue // pruned history: the brute-force scan still holds it
+				}
+				var wantTag uint64
+				wantOK := false
+				bestAt := uint64(0)
+				for _, m := range ref {
+					if m.at <= q && (!wantOK || m.at >= bestAt) {
+						wantOK, wantTag, bestAt = true, m.tag, m.at
+					}
+				}
+				if gotOK != wantOK || (gotOK && gotTag != wantTag) {
+					t.Fatalf("cap %d seed %d step %d: At(%d) = (%d,%v), reference (%d,%v)",
+						cap, seed, step, q, gotTag, gotOK, wantTag, wantOK)
+				}
 			}
 		}
 	}
 }
 
 // TestProbeMatchesPlace pins the Probe/Place pair contract: Probe returns
-// exactly the start the next Place will reserve, and reserves nothing.
+// exactly the start the next Place will reserve, and reserves nothing. The
+// small-cap legs draw arrivals from below the floor to past the newest
+// interval, and every leg checks the binary-search reference too.
 func TestProbeMatchesPlace(t *testing.T) {
-	for seed := uint64(1); seed <= 10; seed++ {
-		tl := New(1 << 20)
-		src := rng.New(seed * 0xD1B54A32D192ED03)
-		for step := 0; step < 300; step++ {
-			now := uint64(src.Intn(4096))
-			dur := uint64(src.Intn(8))
-			before := tl.Intervals()
-			probed := tl.Probe(now, dur)
-			if tl.Intervals() != before {
-				t.Fatalf("seed %d step %d: Probe mutated the timeline", seed, step)
-			}
-			if got := tl.Place(now, dur); got != probed {
-				t.Fatalf("seed %d step %d: Probe(%d,%d)=%d but Place=%d",
-					seed, step, now, dur, probed, got)
+	for _, cap := range append([]int{unbounded}, prunedCaps...) {
+		for seed := uint64(1); seed <= 10; seed++ {
+			tl := New(cap)
+			bs := &bsTimeline{cap: cap}
+			src := rng.New(seed * 0xD1B54A32D192ED03)
+			for step := 0; step < 300; step++ {
+				var now uint64
+				if cap == unbounded {
+					now = uint64(src.Intn(4096))
+				} else {
+					now = spread(src, tl.Floor(), tl.ends)
+				}
+				dur := uint64(src.Intn(8))
+				before := tl.Intervals()
+				probed := tl.Probe(now, dur)
+				if tl.Intervals() != before {
+					t.Fatalf("cap %d seed %d step %d: Probe mutated the timeline", cap, seed, step)
+				}
+				if want := bs.place(now, dur, false); probed != want {
+					t.Fatalf("cap %d seed %d step %d: Probe(%d,%d) = %d, binary search %d",
+						cap, seed, step, now, dur, probed, want)
+				}
+				if got := tl.Place(now, dur); got != probed {
+					t.Fatalf("cap %d seed %d step %d: Probe(%d,%d)=%d but Place=%d",
+						cap, seed, step, now, dur, probed, got)
+				}
+				bs.place(now, dur, true)
+				if tl.Floor() != bs.floor || tl.Intervals() != len(bs.starts) {
+					t.Fatalf("cap %d seed %d step %d: floor %d and %d intervals, binary search %d and %d",
+						cap, seed, step, tl.Floor(), tl.Intervals(), bs.floor, len(bs.starts))
+				}
 			}
 		}
 	}
