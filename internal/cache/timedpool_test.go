@@ -130,12 +130,13 @@ func TestTimedPoolZeroCapacityPanics(t *testing.T) {
 	NewTimedPool(0)
 }
 
-// TestTimedPoolHeapProperty drives the pool with random occupy times under
-// in-order (all-at-zero) arrivals and verifies Reserve always pops the
-// globally earliest busy-until time, by comparing against a sorted
-// reference model. With monotone arrivals the FCFS rule never fires, so the
-// pool must behave exactly like the classic k-entry availability heap.
-func TestTimedPoolHeapProperty(t *testing.T) {
+// TestTimedPoolStallsUntilEarliestDone drives the pool with random occupy
+// times under in-order (all-at-zero) arrivals and verifies Reserve always
+// takes the globally earliest busy-until time, by comparing against a
+// sorted reference model. With monotone arrivals the FCFS rule never fires,
+// so the pool must behave exactly like the classic k-entry availability
+// queue.
+func TestTimedPoolStallsUntilEarliestDone(t *testing.T) {
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {
 			return true
@@ -192,13 +193,16 @@ func TestTimedPoolResetStats(t *testing.T) {
 // InFlight and BusyAt at random times after every call. Arrivals move back
 // and forth over a sliding window on a coarse grid, so full pools meet
 // displacement candidates that tie on arrival, and one window in eight is
-// degenerate.
+// degenerate. Completion times are distinct: where several tie, the heap's
+// stall took whichever its sifts left at the root, and the sorted pool
+// takes the first occupied (TestTimedPoolStallTakesFirstOccupiedOnTie).
 func TestTimedPoolMatchesHeapReference(t *testing.T) {
 	for _, capacity := range []int{1, 2, 4, 8} {
 		for seed := uint64(1); seed <= 40; seed++ {
 			p, ref := NewTimedPool(capacity), &heapPool{capacity: capacity}
 			src := rng.New(seed*0x9E3779B97F4A7C15 + uint64(capacity))
 			clock := uint64(64)
+			used := map[uint64]bool{} // completion times handed out
 			check := func(step int, call string) {
 				if p.StallCycles() != ref.stallCycles || p.InFlight() != len(ref.occs) {
 					t.Fatalf("cap %d seed %d step %d, after %s: stall %d, in flight %d; heap %d, %d",
@@ -222,6 +226,10 @@ func TestTimedPoolMatchesHeapReference(t *testing.T) {
 				}
 				check(step, "Reserve")
 				until := start + 1 + uint64(src.Intn(48))
+				for used[until] {
+					until++
+				}
+				used[until] = true
 				if src.Intn(8) == 0 {
 					until = now - uint64(src.Intn(2)) // degenerate: not tracked
 				}
@@ -230,6 +238,26 @@ func TestTimedPoolMatchesHeapReference(t *testing.T) {
 				check(step, "Occupy")
 			}
 		}
+	}
+}
+
+// TestTimedPoolStallTakesFirstOccupiedOnTie pins the tie rule of a stall:
+// when several tracked occupations complete at the same cycle, the stalled
+// request takes the one occupied first, and the others keep their claims.
+func TestTimedPoolStallTakesFirstOccupiedOnTie(t *testing.T) {
+	p := NewTimedPool(2)
+	p.Reserve(10)
+	p.Occupy(10, 100)
+	p.Reserve(5)
+	p.Occupy(5, 100)
+	if start := p.Reserve(20); start != 100 {
+		t.Fatalf("Reserve on full pool returned %d, want 100", start)
+	}
+	p.Occupy(20, 150)
+	// The t=10 claim went to the stalled request; the t=5 claim still
+	// holds its entry at t=7.
+	if got := p.BusyAt(7); got != 1 {
+		t.Fatalf("BusyAt(7) = %d, want 1 (the t=5 claim)", got)
 	}
 }
 

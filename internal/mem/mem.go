@@ -30,6 +30,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/timeline"
 )
@@ -70,6 +71,9 @@ func (c Config) Validate() error {
 	}
 	if c.RowBytes <= 0 || c.BlockBytes <= 0 || c.RowBytes%c.BlockBytes != 0 {
 		return fmt.Errorf("mem: row (%d) must be a positive multiple of block (%d)", c.RowBytes, c.BlockBytes)
+	}
+	if n := c.RowBytes / c.BlockBytes; n&(n-1) != 0 {
+		return fmt.Errorf("mem: blocks per row (%d) must be a power of two", n)
 	}
 	if c.RowHitLatency == 0 || c.RowConflictLatency < c.RowHitLatency {
 		return fmt.Errorf("mem: need 0 < rowHit (%d) <= rowConflict (%d)", c.RowHitLatency, c.RowConflictLatency)
@@ -124,10 +128,11 @@ type bankState struct {
 
 // DDR2 is the memory timing model.
 type DDR2 struct {
-	cfg          Config
-	blocksPerRow uint64
-	bankMask     uint64
-	banks        []bankState
+	cfg       Config
+	rowShift  int // log2 of blocks per row
+	bankShift int // log2 of Banks
+	bankMask  uint64
+	banks     []bankState
 }
 
 // New builds the memory model, panicking on invalid configuration.
@@ -136,10 +141,11 @@ func New(cfg Config) *DDR2 {
 		panic(err)
 	}
 	return &DDR2{
-		cfg:          cfg,
-		blocksPerRow: uint64(cfg.RowBytes / cfg.BlockBytes),
-		bankMask:     uint64(cfg.Banks - 1),
-		banks:        make([]bankState, cfg.Banks),
+		cfg:       cfg,
+		rowShift:  bits.TrailingZeros(uint(cfg.RowBytes / cfg.BlockBytes)),
+		bankShift: bits.TrailingZeros(uint(cfg.Banks)),
+		bankMask:  uint64(cfg.Banks - 1),
+		banks:     make([]bankState, cfg.Banks),
 	}
 }
 
@@ -174,11 +180,13 @@ func (m *DDR2) ResetStats() {
 
 // Map translates a block address to (bank, row). Consecutive rows interleave
 // across banks; with XOR mapping the bank index is permuted by the row
-// address so that power-of-two strides do not pile onto one bank.
+// address so that power-of-two strides do not pile onto one bank. Validate
+// makes blocks per row and Banks powers of two, so shifts and a mask do
+// the divisions.
 func (m *DDR2) Map(block uint64) (bank int, row uint64) {
-	rowID := block / m.blocksPerRow
+	rowID := block >> m.rowShift
 	b := rowID & m.bankMask
-	row = rowID / uint64(m.cfg.Banks)
+	row = rowID >> m.bankShift
 	if m.cfg.XORMapping {
 		b ^= row & m.bankMask
 	}

@@ -16,6 +16,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	bad := []Config{
 		{Banks: 3, RowBytes: 4096, BlockBytes: 64, RowHitLatency: 180, RowConflictLatency: 340, RowHitOccupancy: 20, RowConflOccupancy: 160},
 		{Banks: 8, RowBytes: 100, BlockBytes: 64, RowHitLatency: 180, RowConflictLatency: 340, RowHitOccupancy: 20, RowConflOccupancy: 160},
+		{Banks: 8, RowBytes: 4032, BlockBytes: 64, RowHitLatency: 180, RowConflictLatency: 340, RowHitOccupancy: 20, RowConflOccupancy: 160}, // 63 blocks per row
 		{Banks: 8, RowBytes: 4096, BlockBytes: 64, RowHitLatency: 0, RowConflictLatency: 340, RowHitOccupancy: 20, RowConflOccupancy: 160},
 		{Banks: 8, RowBytes: 4096, BlockBytes: 64, RowHitLatency: 340, RowConflictLatency: 180, RowHitOccupancy: 20, RowConflOccupancy: 160},
 	}

@@ -39,20 +39,17 @@ func (tr *Track) Marks() int { return len(tr.times) }
 // such mark exists. Marks strictly after t never influence the answer —
 // that is the reservation-time-state property callers rely on.
 func (tr *Track) At(t uint64) (tag uint64, ok bool) {
-	// Last index with times[i] <= t.
-	lo, hi := 0, len(tr.times)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if tr.times[mid] <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	// Last index with times[i] <= t. times is strictly increasing, and
+	// queries land near the newest marks, so scan back from the newest
+	// (see Timeline.probe).
+	i := len(tr.times)
+	for i > 0 && tr.times[i-1] > t {
+		i--
 	}
-	if lo == 0 {
+	if i == 0 {
 		return 0, false
 	}
-	return tr.tags[lo-1], true
+	return tr.tags[i-1], true
 }
 
 // Set records that the resource's state becomes tag at time at (clamped to
@@ -63,25 +60,20 @@ func (tr *Track) Set(at, tag uint64) {
 	if at < tr.floor {
 		at = tr.floor
 	}
-	// First index with times[i] >= at.
-	lo, hi := 0, len(tr.times)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if tr.times[mid] < at {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	// First index with times[i] >= at, scanning back from the newest.
+	i := len(tr.times)
+	for i > 0 && tr.times[i-1] >= at {
+		i--
 	}
-	if lo < len(tr.times) && tr.times[lo] == at {
-		tr.tags[lo] = tag
+	if i < len(tr.times) && tr.times[i] == at {
+		tr.tags[i] = tag
 		return
 	}
 	tr.times = append(tr.times, 0)
 	tr.tags = append(tr.tags, 0)
-	copy(tr.times[lo+1:], tr.times[lo:])
-	copy(tr.tags[lo+1:], tr.tags[lo:])
-	tr.times[lo], tr.tags[lo] = at, tag
+	copy(tr.times[i+1:], tr.times[i:])
+	copy(tr.tags[i+1:], tr.tags[i:])
+	tr.times[i], tr.tags[i] = at, tag
 	tr.prune()
 }
 
