@@ -49,16 +49,21 @@ perf-ab:
 	@test -n "$(BASE)" || { echo "usage: make perf-ab BASE=<ref> [PAIRS=10] [PERF_FLAGS=...]"; exit 2; }
 	bash scripts/perf_ab.sh -n $(PAIRS) $(BASE) $(PERF_FLAGS)
 
-# Where the detailed loop's time goes: a CPU profile of 8 runs of the
-# balanced Mix16 benchmark (BenchmarkRunMix16), then pprof's table of it.
-# Its shares track perf's mix16-balanced workload; EXPERIMENTS.md quotes
-# them. The test binary and the profile go to PROFILE_DIR, by default a
-# new temporary directory, whose name the target prints last.
+# Where the detailed loop's time goes: CPU profiles of the balanced Mix16
+# benchmark (BenchmarkRunMix16, 8 runs), whose shares track perf's
+# mix16-balanced workload, and of the streaming Mix16
+# (BenchmarkRunMix16Streaming, 64 runs of about 50 ms), whose shares track
+# mix16-streaming and its shared substrate (arbiter, pools, DRAM), each
+# followed by pprof's table of it. EXPERIMENTS.md quotes them. The test
+# binary and both profiles go to PROFILE_DIR, by default a new temporary
+# directory, whose name the target prints last.
 profile:
 	@dir=$${PROFILE_DIR:-$$(mktemp -d)}; \
 	$(GO) test -run '^$$' -bench 'RunMix16$$' -benchtime 8x -o "$$dir/sim.test" -outputdir "$$dir" -cpuprofile mix16.prof ./internal/sim && \
 	$(GO) tool pprof -top "$$dir/sim.test" "$$dir/mix16.prof" && \
-	echo "profile: $$dir/mix16.prof"
+	$(GO) test -run '^$$' -bench 'RunMix16Streaming$$' -benchtime 64x -o "$$dir/sim.test" -outputdir "$$dir" -cpuprofile mix16streaming.prof ./internal/sim && \
+	$(GO) tool pprof -top "$$dir/sim.test" "$$dir/mix16streaming.prof" && \
+	echo "profiles: $$dir/mix16.prof $$dir/mix16streaming.prof"
 
 # Full benchmark sweep at Tiny fidelity (prints every regenerated table).
 bench:

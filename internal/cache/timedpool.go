@@ -11,8 +11,9 @@ package cache
 // pool keeps its occupations in a slice sorted by completion time, so the
 // ones drained by `now` are a prefix, a stalled request takes the head, and
 // Occupy inserts from the back, where a new completion time usually
-// belongs. A pool tracks a few occupations (about 9 of some 31 entries in a
-// detailed mix16-streaming run), so the slice beats a heap's sifts.
+// belongs. A pool tracks few occupations (about 9 of its 31 entries per
+// Reserve in a detailed mix16-streaming run), so keeping them sorted
+// costs a few moves.
 //
 // Callers may present arrival times out of global time order: the event
 // loop interleaves cores at one-op granularity, and the shared pools (the

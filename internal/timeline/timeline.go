@@ -25,9 +25,10 @@
 // requests arriving below the floor are clamped to it. A long run therefore
 // holds between half the cap and the cap, yet a request's answer lies near
 // the newest end, since arrival skew is small next to the history: in a
-// detailed mix16-streaming run a DRAM bank's list holds about 192
-// intervals, of which about 3 end after a request's arrival. Every search
-// (Place, Probe, Track.At, Track.Set) scans back from the newest entry.
+// detailed mix16-streaming run the LLC and DRAM banks' lists hold about
+// 192 intervals, of which about 3 end after a request's arrival. Every
+// search (Place, Probe, Track.At, Track.Set) scans back from the newest
+// entry.
 package timeline
 
 // DefaultCap is the interval-list bound used when New is given a
