@@ -5,15 +5,11 @@ package cache
 // question those structures pose to the rest of the simulator: "if I need an
 // entry at time t, when do I actually get one?".
 //
-// Reserve returns the earliest time at or after `now` at which an entry is
-// available; the caller then computes the operation's completion time and
-// registers it with Occupy, repeating the arrival time it gave Reserve. The
-// pool keeps its occupations in a slice sorted by completion time, so the
-// ones drained by `now` are a prefix, a stalled request takes the head, and
-// Occupy inserts from the back, where a new completion time usually
-// belongs. A pool tracks few occupations (about 9 of its 31 entries per
-// Reserve in a detailed mix16-streaming run), so keeping them sorted
-// costs a few moves.
+// The pool keeps a binary min-heap of its occupations keyed by completion
+// time. Reserve returns the earliest time at or after `now` at which an
+// entry is available; the caller then computes the operation's completion
+// time and registers it with Occupy, repeating the arrival time it gave
+// Reserve.
 //
 // Callers may present arrival times out of global time order: the event
 // loop interleaves cores at one-op granularity, and the shared pools (the
@@ -34,7 +30,7 @@ package cache
 // The zero value is unusable; use NewTimedPool.
 type TimedPool struct {
 	capacity int
-	occs     []occupation // sorted by done time, ascending
+	occs     []occupation // min-heap keyed by done time
 	pending  int          // Reserves awaiting their Occupy
 
 	// Stats.
@@ -85,18 +81,13 @@ func (p *TimedPool) BusyAt(t uint64) int {
 //     logically-earlier request goes first: it is served at now with no
 //     stall and the latest-arriving occupation gives up its tracking slot.
 //   - Otherwise every entry is held by a request at or before now and the
-//     caller is delayed until the earliest one drains, taking the first
-//     occupied of those that drain together.
+//     caller is delayed until the earliest one drains.
 func (p *TimedPool) Reserve(now uint64) uint64 {
 	p.reservations++
 	p.pending++
-	// Drain occupations that have completed by now: a prefix.
-	k := 0
-	for k < len(p.occs) && p.occs[k].done <= now {
-		k++
-	}
-	if k > 0 {
-		p.occs = append(p.occs[:0], p.occs[k:]...)
+	// Drain occupations that have completed by now.
+	for len(p.occs) > 0 && p.occs[0].done <= now {
+		p.pop()
 	}
 	if len(p.occs) < p.capacity {
 		return now
@@ -114,7 +105,7 @@ func (p *TimedPool) Reserve(now uint64) uint64 {
 		return now
 	}
 	earliest := p.occs[0].done
-	p.removeAt(0)
+	p.pop()
 	p.stallCycles += earliest - now
 	return earliest
 }
@@ -135,14 +126,7 @@ func (p *TimedPool) Occupy(arrivedAt, until uint64) {
 	if len(p.occs) >= p.capacity {
 		panic("cache: TimedPool over capacity (Reserve/Occupy pairing broken)")
 	}
-	// Insert from the back, after any equal completion time.
-	i := len(p.occs)
-	p.occs = append(p.occs, occupation{})
-	for i > 0 && p.occs[i-1].done > until {
-		p.occs[i] = p.occs[i-1]
-		i--
-	}
-	p.occs[i] = occupation{arrival: arrivedAt, done: until}
+	p.push(occupation{arrival: arrivedAt, done: until})
 }
 
 // StallCycles returns the cumulative cycles callers were delayed waiting for
@@ -158,7 +142,53 @@ func (p *TimedPool) ResetStats() {
 	p.reservations = 0
 }
 
-// removeAt removes the occupation at index i, keeping the order.
+func (p *TimedPool) push(o occupation) {
+	p.occs = append(p.occs, o)
+	i := len(p.occs) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if p.occs[parent].done <= p.occs[i].done {
+			break
+		}
+		p.occs[parent], p.occs[i] = p.occs[i], p.occs[parent]
+		i = parent
+	}
+}
+
+// pop removes the minimum-done occupation.
+func (p *TimedPool) pop() { p.removeAt(0) }
+
+// removeAt removes the occupation at heap index i, restoring heap order.
 func (p *TimedPool) removeAt(i int) {
-	p.occs = append(p.occs[:i], p.occs[i+1:]...)
+	n := len(p.occs) - 1
+	p.occs[i] = p.occs[n]
+	p.occs = p.occs[:n]
+	if i == n {
+		return
+	}
+	// Sift up (the moved element may beat its parent)...
+	for i > 0 {
+		parent := (i - 1) / 2
+		if p.occs[parent].done <= p.occs[i].done {
+			break
+		}
+		p.occs[parent], p.occs[i] = p.occs[i], p.occs[parent]
+		i = parent
+	}
+	// ...then down.
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < n && p.occs[l].done < p.occs[smallest].done {
+			smallest = l
+		}
+		if r < n && p.occs[r].done < p.occs[smallest].done {
+			smallest = r
+		}
+		if smallest == i {
+			return
+		}
+		p.occs[i], p.occs[smallest] = p.occs[smallest], p.occs[i]
+		i = smallest
+	}
 }

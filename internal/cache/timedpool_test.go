@@ -130,13 +130,12 @@ func TestTimedPoolZeroCapacityPanics(t *testing.T) {
 	NewTimedPool(0)
 }
 
-// TestTimedPoolStallsUntilEarliestDone drives the pool with random occupy
-// times under in-order (all-at-zero) arrivals and verifies Reserve always
-// takes the globally earliest busy-until time, by comparing against a
-// sorted reference model. With monotone arrivals the FCFS rule never fires,
-// so the pool must behave exactly like the classic k-entry availability
-// queue.
-func TestTimedPoolStallsUntilEarliestDone(t *testing.T) {
+// TestTimedPoolHeapProperty drives the pool with random occupy times under
+// in-order (all-at-zero) arrivals and verifies Reserve always pops the
+// globally earliest busy-until time, by comparing against a sorted
+// reference model. With monotone arrivals the FCFS rule never fires, so the
+// pool must behave exactly like the classic k-entry availability heap.
+func TestTimedPoolHeapProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {
 			return true
@@ -187,31 +186,31 @@ func TestTimedPoolResetStats(t *testing.T) {
 	}
 }
 
-// TestTimedPoolMatchesHeapReference drives the pool and heapPool, the
-// binary min-heap pool it replaced, with the same random calls at
+// TestTimedPoolMatchesListModel drives the pool and listPool, a brute-force
+// model of its rules over an unordered list, with the same random calls at
 // capacities 1, 2, 4 and 8, and compares Reserve's answer, StallCycles,
 // InFlight and BusyAt at random times after every call. Arrivals move back
 // and forth over a sliding window on a coarse grid, so full pools meet
 // displacement candidates that tie on arrival, and one window in eight is
-// degenerate. Completion times are distinct: where several tie, the heap's
-// stall took whichever its sifts left at the root, and the sorted pool
-// takes the first occupied (TestTimedPoolStallTakesFirstOccupiedOnTie).
-func TestTimedPoolMatchesHeapReference(t *testing.T) {
+// degenerate. Completion times are distinct: among occupations that
+// complete together, a stall takes whichever the heap's sifts left at its
+// root, an order the model does not keep.
+func TestTimedPoolMatchesListModel(t *testing.T) {
 	for _, capacity := range []int{1, 2, 4, 8} {
 		for seed := uint64(1); seed <= 40; seed++ {
-			p, ref := NewTimedPool(capacity), &heapPool{capacity: capacity}
+			p, ref := NewTimedPool(capacity), &listPool{capacity: capacity}
 			src := rng.New(seed*0x9E3779B97F4A7C15 + uint64(capacity))
 			clock := uint64(64)
 			used := map[uint64]bool{} // completion times handed out
 			check := func(step int, call string) {
 				if p.StallCycles() != ref.stallCycles || p.InFlight() != len(ref.occs) {
-					t.Fatalf("cap %d seed %d step %d, after %s: stall %d, in flight %d; heap %d, %d",
+					t.Fatalf("cap %d seed %d step %d, after %s: stall %d, in flight %d; model %d, %d",
 						capacity, seed, step, call, p.StallCycles(), p.InFlight(), ref.stallCycles, len(ref.occs))
 				}
 				for k := 0; k < 3; k++ {
 					at := clock - 64 + uint64(src.Intn(192))
 					if got, want := p.BusyAt(at), ref.busyAt(at); got != want {
-						t.Fatalf("cap %d seed %d step %d, after %s: BusyAt(%d) = %d, heap %d",
+						t.Fatalf("cap %d seed %d step %d, after %s: BusyAt(%d) = %d, model %d",
 							capacity, seed, step, call, at, got, want)
 					}
 				}
@@ -221,7 +220,7 @@ func TestTimedPoolMatchesHeapReference(t *testing.T) {
 				now := clock - 32 + 4*uint64(src.Intn(16))
 				start := p.Reserve(now)
 				if want := ref.reserve(now); start != want {
-					t.Fatalf("cap %d seed %d step %d: Reserve(%d) = %d, heap %d",
+					t.Fatalf("cap %d seed %d step %d: Reserve(%d) = %d, model %d",
 						capacity, seed, step, now, start, want)
 				}
 				check(step, "Reserve")
@@ -241,37 +240,19 @@ func TestTimedPoolMatchesHeapReference(t *testing.T) {
 	}
 }
 
-// TestTimedPoolStallTakesFirstOccupiedOnTie pins the tie rule of a stall:
-// when several tracked occupations complete at the same cycle, the stalled
-// request takes the one occupied first, and the others keep their claims.
-func TestTimedPoolStallTakesFirstOccupiedOnTie(t *testing.T) {
-	p := NewTimedPool(2)
-	p.Reserve(10)
-	p.Occupy(10, 100)
-	p.Reserve(5)
-	p.Occupy(5, 100)
-	if start := p.Reserve(20); start != 100 {
-		t.Fatalf("Reserve on full pool returned %d, want 100", start)
-	}
-	p.Occupy(20, 150)
-	// The t=10 claim went to the stalled request; the t=5 claim still
-	// holds its entry at t=7.
-	if got := p.BusyAt(7); got != 1 {
-		t.Fatalf("BusyAt(7) = %d, want 1 (the t=5 claim)", got)
-	}
-}
-
-// heapPool is the TimedPool that kept its occupations in a binary min-heap
-// keyed by done time, kept as the reference for the sorted pool.
-type heapPool struct {
+// listPool models TimedPool's rules over an unordered list: a drain
+// forgets every occupation done by now, a full pool displaces the
+// latest-arriving occupation that arrived after now (the later done on a
+// tie), and otherwise the request stalls until the earliest done.
+type listPool struct {
 	capacity    int
 	occs        []occupation
 	stallCycles uint64
 }
 
-func (p *heapPool) busyAt(t uint64) int {
+func (m *listPool) busyAt(t uint64) int {
 	n := 0
-	for _, o := range p.occs {
+	for _, o := range m.occs {
 		if o.arrival <= t && t < o.done {
 			n++
 		}
@@ -279,71 +260,38 @@ func (p *heapPool) busyAt(t uint64) int {
 	return n
 }
 
-func (p *heapPool) reserve(now uint64) uint64 {
-	for len(p.occs) > 0 && p.occs[0].done <= now {
-		p.removeAt(0)
+func (m *listPool) reserve(now uint64) uint64 {
+	kept := m.occs[:0]
+	for _, o := range m.occs {
+		if o.done > now {
+			kept = append(kept, o)
+		}
 	}
-	if len(p.occs) < p.capacity {
+	m.occs = kept
+	if len(m.occs) < m.capacity {
 		return now
 	}
-	victim := -1
-	for i, o := range p.occs {
-		if o.arrival > now && (victim < 0 || o.arrival > p.occs[victim].arrival ||
-			(o.arrival == p.occs[victim].arrival && o.done > p.occs[victim].done)) {
+	victim, first := -1, 0
+	for i, o := range m.occs {
+		if o.arrival > now && (victim < 0 || o.arrival > m.occs[victim].arrival ||
+			(o.arrival == m.occs[victim].arrival && o.done > m.occs[victim].done)) {
 			victim = i
 		}
+		if o.done < m.occs[first].done {
+			first = i
+		}
 	}
-	if victim >= 0 {
-		p.removeAt(victim)
-		return now
+	start := now
+	if victim < 0 {
+		victim, start = first, m.occs[first].done
+		m.stallCycles += start - now
 	}
-	earliest := p.occs[0].done
-	p.removeAt(0)
-	p.stallCycles += earliest - now
-	return earliest
+	m.occs = append(m.occs[:victim], m.occs[victim+1:]...)
+	return start
 }
 
-func (p *heapPool) occupy(arrivedAt, until uint64) {
-	if until <= arrivedAt {
-		return
-	}
-	p.occs = append(p.occs, occupation{arrival: arrivedAt, done: until})
-	p.siftUp(len(p.occs) - 1)
-}
-
-func (p *heapPool) siftUp(i int) int {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if p.occs[parent].done <= p.occs[i].done {
-			break
-		}
-		p.occs[parent], p.occs[i] = p.occs[i], p.occs[parent]
-		i = parent
-	}
-	return i
-}
-
-func (p *heapPool) removeAt(i int) {
-	n := len(p.occs) - 1
-	p.occs[i] = p.occs[n]
-	p.occs = p.occs[:n]
-	if i == n {
-		return
-	}
-	i = p.siftUp(i)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && p.occs[l].done < p.occs[smallest].done {
-			smallest = l
-		}
-		if r < n && p.occs[r].done < p.occs[smallest].done {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		p.occs[i], p.occs[smallest] = p.occs[smallest], p.occs[i]
-		i = smallest
+func (m *listPool) occupy(arrivedAt, until uint64) {
+	if until > arrivedAt {
+		m.occs = append(m.occs, occupation{arrival: arrivedAt, done: until})
 	}
 }
