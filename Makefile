@@ -58,10 +58,11 @@ perf-ab:
 # binary and both profiles go to PROFILE_DIR, by default a new temporary
 # directory, whose name the target prints last.
 profile:
-	@dir=$${PROFILE_DIR:-$$(mktemp -d)}; \
-	$(GO) test -run '^$$' -bench 'RunMix16$$' -benchtime 8x -o "$$dir/sim.test" -outputdir "$$dir" -cpuprofile mix16.prof ./internal/sim && \
+	@dir=$${PROFILE_DIR:-$$(mktemp -d)}; mkdir -p "$$dir" && dir=$$(cd "$$dir" && pwd) && \
+	$(GO) test -c -o "$$dir/sim.test" ./internal/sim && cd internal/sim && \
+	"$$dir/sim.test" -test.run '^$$' -test.bench 'RunMix16$$' -test.benchtime 8x -test.cpuprofile "$$dir/mix16.prof" && \
 	$(GO) tool pprof -top "$$dir/sim.test" "$$dir/mix16.prof" && \
-	$(GO) test -run '^$$' -bench 'RunMix16Streaming$$' -benchtime 64x -o "$$dir/sim.test" -outputdir "$$dir" -cpuprofile mix16streaming.prof ./internal/sim && \
+	"$$dir/sim.test" -test.run '^$$' -test.bench 'RunMix16Streaming$$' -test.benchtime 64x -test.cpuprofile "$$dir/mix16streaming.prof" && \
 	$(GO) tool pprof -top "$$dir/sim.test" "$$dir/mix16streaming.prof" && \
 	echo "profiles: $$dir/mix16.prof $$dir/mix16streaming.prof"
 

@@ -22,20 +22,15 @@
 //
 // History is bounded: when the list overflows its cap, the oldest half is
 // dropped and a floor is raised to the end of the last dropped interval;
-// requests arriving below the floor are clamped to it. A long run therefore
-// holds between half the cap and the cap, yet a request's answer lies near
-// the newest end, since arrival skew is small next to the history: in a
-// detailed mix16-streaming run the LLC and DRAM banks' lists hold about
-// 192 intervals, of which about 3 end after a request's arrival. Every
-// search (Place, Probe, Track.At, Track.Set) scans back from the newest
-// entry.
+// requests arriving below the floor are clamped to it. A long run holds
+// between half the cap and the cap, yet arrival skew is small next to that
+// history, so every search (Place, Probe, Track.At, Track.Set) scans back
+// from the newest entry (EXPERIMENTS.md measures how far).
 package timeline
 
 // DefaultCap is the interval-list bound used when New is given a
-// non-positive capacity. A list at this cap holds 128 to 256 intervals,
-// about 192 on average, of which a search steps back over about 3. The cap
-// is not a tuning knob for speed: a smaller one raises the floor sooner and
-// clamps more late arrivals, which changes results.
+// non-positive capacity. It is not a speed knob: a smaller cap raises the
+// floor sooner and clamps more late arrivals, which changes results.
 const DefaultCap = 256
 
 // Timeline is one exclusive resource's reservation list. The zero value is
@@ -114,9 +109,7 @@ func (t *Timeline) probe(now, dur uint64) (i int, start uint64) {
 	// First interval that ends after now; everything before it is history
 	// this request cannot overlap. ends is strictly increasing (intervals
 	// are disjoint and adjacent ones merge), and requests arrive near the
-	// newest reservations, so the scan starts at the newest end: a detailed
-	// mix16-streaming run holds about 192 intervals per bank and steps back
-	// over about 3 of them.
+	// newest reservations, so the scan starts at the newest end.
 	i = len(t.ends)
 	for i > 0 && t.ends[i-1] > now {
 		i--
