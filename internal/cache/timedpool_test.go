@@ -188,20 +188,18 @@ func TestTimedPoolResetStats(t *testing.T) {
 
 // TestTimedPoolMatchesListModel drives the pool and listPool, a brute-force
 // model of its rules over an unordered list, with the same random calls at
-// capacities 1, 2, 4 and 8, and compares Reserve's answer, StallCycles,
-// InFlight and BusyAt at random times after every call. Arrivals move back
-// and forth over a sliding window on a coarse grid, so full pools meet
-// displacement candidates that tie on arrival, and one window in eight is
-// degenerate. Completion times are distinct: among occupations that
-// complete together, a stall takes whichever the heap's sifts left at its
-// root, an order the model does not keep.
+// capacities 1, 2, 4 and 8, and compares Reserve's answer, the occupations
+// it leaves, StallCycles, InFlight and BusyAt at random times after every
+// call. Arrivals move back and forth over a sliding window on a coarse
+// grid, so full pools meet displacement candidates that tie on arrival and
+// stalls on occupations that complete together, and one window in eight
+// is degenerate.
 func TestTimedPoolMatchesListModel(t *testing.T) {
 	for _, capacity := range []int{1, 2, 4, 8} {
 		for seed := uint64(1); seed <= 40; seed++ {
 			p, ref := NewTimedPool(capacity), &listPool{capacity: capacity}
 			src := rng.New(seed*0x9E3779B97F4A7C15 + uint64(capacity))
 			clock := uint64(64)
-			used := map[uint64]bool{} // completion times handed out
 			check := func(step int, call string) {
 				if p.StallCycles() != ref.stallCycles || p.InFlight() != len(ref.occs) {
 					t.Fatalf("cap %d seed %d step %d, after %s: stall %d, in flight %d; model %d, %d",
@@ -219,16 +217,20 @@ func TestTimedPoolMatchesListModel(t *testing.T) {
 				clock += uint64(src.Intn(4))
 				now := clock - 32 + 4*uint64(src.Intn(16))
 				start := p.Reserve(now)
-				if want := ref.reserve(now); start != want {
+				want, gone := ref.reserve(now)
+				if start != want {
 					t.Fatalf("cap %d seed %d step %d: Reserve(%d) = %d, model %d",
 						capacity, seed, step, now, start, want)
 				}
+				if !ref.follow(gone, p.occs) {
+					t.Fatalf("cap %d seed %d step %d: Reserve(%d) left %v; model %v less one of %v",
+						capacity, seed, step, now, p.occs, ref.occs, gone)
+				}
 				check(step, "Reserve")
 				until := start + 1 + uint64(src.Intn(48))
-				for used[until] {
-					until++
+				if src.Intn(2) == 0 {
+					until = start + 8*uint64(1+src.Intn(6)) // on a grid, so completions tie
 				}
-				used[until] = true
 				if src.Intn(8) == 0 {
 					until = now - uint64(src.Intn(2)) // degenerate: not tracked
 				}
@@ -243,7 +245,9 @@ func TestTimedPoolMatchesListModel(t *testing.T) {
 // listPool models TimedPool's rules over an unordered list: a drain
 // forgets every occupation done by now, a full pool displaces the
 // latest-arriving occupation that arrived after now (the later done on a
-// tie), and otherwise the request stalls until the earliest done.
+// tie), and otherwise the request stalls until the earliest done and takes
+// the entry of one of the occupations done then. Which one is the heap's
+// layout, so the model follows the pool there.
 type listPool struct {
 	capacity    int
 	occs        []occupation
@@ -260,7 +264,9 @@ func (m *listPool) busyAt(t uint64) int {
 	return n
 }
 
-func (m *listPool) reserve(now uint64) uint64 {
+// reserve returns the answer for a request at now and the occupations
+// of which the call gives up exactly one (none if the pool had room).
+func (m *listPool) reserve(now uint64) (start uint64, gone []occupation) {
 	kept := m.occs[:0]
 	for _, o := range m.occs {
 		if o.done > now {
@@ -269,7 +275,7 @@ func (m *listPool) reserve(now uint64) uint64 {
 	}
 	m.occs = kept
 	if len(m.occs) < m.capacity {
-		return now
+		return now, nil
 	}
 	victim, first := -1, 0
 	for i, o := range m.occs {
@@ -281,17 +287,61 @@ func (m *listPool) reserve(now uint64) uint64 {
 			first = i
 		}
 	}
-	start := now
-	if victim < 0 {
-		victim, start = first, m.occs[first].done
-		m.stallCycles += start - now
+	if victim >= 0 {
+		return now, []occupation{m.occs[victim]}
 	}
-	m.occs = append(m.occs[:victim], m.occs[victim+1:]...)
-	return start
+	earliest := m.occs[first].done
+	for _, o := range m.occs {
+		if o.done == earliest {
+			gone = append(gone, o)
+		}
+	}
+	m.stallCycles += earliest - now
+	return earliest, gone
+}
+
+// follow removes from the model the one occupation in gone whose removal
+// leaves the pool's occupations, and reports whether there is one.
+func (m *listPool) follow(gone, pool []occupation) bool {
+	if len(gone) == 0 {
+		return sameOccupations(m.occs, pool)
+	}
+	for _, g := range gone {
+		for i, o := range m.occs {
+			if o != g {
+				continue
+			}
+			rest := append(append([]occupation(nil), m.occs[:i]...), m.occs[i+1:]...)
+			if sameOccupations(rest, pool) {
+				m.occs = rest
+				return true
+			}
+			break
+		}
+	}
+	return false
 }
 
 func (m *listPool) occupy(arrivedAt, until uint64) {
 	if until > arrivedAt {
 		m.occs = append(m.occs, occupation{arrival: arrivedAt, done: until})
 	}
+}
+
+// sameOccupations reports whether a and b hold the same occupations,
+// counted with multiplicity, in any order.
+func sameOccupations(a, b []occupation) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	count := map[occupation]int{}
+	for _, o := range a {
+		count[o]++
+	}
+	for _, o := range b {
+		if count[o]--; count[o] < 0 {
+			return false
+		}
+	}
+	return true
 }
