@@ -51,8 +51,8 @@ perf-ab:
 
 # Where the detailed loop's time goes: CPU profiles of the balanced Mix16
 # benchmark (BenchmarkRunMix16, 8 runs), whose shares track perf's
-# mix16-balanced workload, and of the streaming Mix16
-# (BenchmarkRunMix16Streaming, 64 runs of about 50 ms), whose shares track
+# mix16-balanced workload, and of the streaming Mix16 under ADAPT_bp32
+# (BenchmarkRunMix16Streaming, 64 runs), whose shares track
 # mix16-streaming and its shared substrate (arbiter, pools, DRAM), each
 # followed by pprof's table of it. EXPERIMENTS.md quotes them. The test
 # binary and both profiles go to PROFILE_DIR, by default a new temporary
@@ -80,8 +80,8 @@ bench:
 # claim; perf/ is the timed benchmark) kept as BENCH_*.txt:
 # BENCH_policy_victim.txt for the policy layer, BENCH_sim_substrate.txt
 # for the simulator — the balanced Mix16 and the substrate-bound streaming
-# Mix16 serial runs — BENCH_hotpath.txt for the balanced Mix16 and victim
-# selection with -benchmem, BENCH_tracegen.txt for trace generation, and
+# Mix16 serial runs — BENCH_hotpath.txt for the balanced Mix16, victim
+# selection and the MSHR/write-back pool with -benchmem, BENCH_tracegen.txt for trace generation, and
 # BENCH_sampling.txt with the sampled-fidelity headline (speedup +
 # ipc-err-pct vs the detailed reference at paper-scale budgets) as custom
 # benchmark metrics.
@@ -96,6 +96,7 @@ bench-smoke: build
 	cat BENCH_sim_substrate.txt
 	$(GO) test -bench 'RunMix16$$' -benchmem -benchtime 1x -run '^$$' ./internal/sim > BENCH_hotpath.txt || { cat BENCH_hotpath.txt; exit 1; }
 	$(GO) test -bench 'Victim$$|VictimDistant$$|VictimAllWays$$' -benchmem -benchtime 1x -run '^$$' ./internal/policy >> BENCH_hotpath.txt || { cat BENCH_hotpath.txt; exit 1; }
+	$(GO) test -bench 'TimedPool$$' -benchmem -benchtime 1x -run '^$$' ./internal/cache >> BENCH_hotpath.txt || { cat BENCH_hotpath.txt; exit 1; }
 	cat BENCH_hotpath.txt
 	$(GO) test -bench 'BenchmarkNext' -benchmem -benchtime 200000x -run '^$$' ./internal/trace > BENCH_tracegen.txt || { cat BENCH_tracegen.txt; exit 1; }
 	cat BENCH_tracegen.txt

@@ -345,3 +345,43 @@ func sameOccupations(a, b []occupation) bool {
 	}
 	return true
 }
+
+// BenchmarkTimedPool drives one pool shaped like the simulator's LLC-side
+// and L2 pools: 32 entries, arrivals up to 11 cycles out of order around a
+// clock that moves 30 cycles per call on average, holds of 100 to 159
+// cycles with one in eight of 500 to 1,099, and a burst of 26 calls one
+// cycle apart every 256. A Reserve then finds about nine claims tracked
+// and drains about one, and about one call in a hundred meets a full pool,
+// which it resolves by stalling or, a third as often, by displacing a later
+// arrival (EXPERIMENTS.md, "A sorted pool under a stated tie rule"). The
+// script replays with its times shifted past the previous pass.
+func BenchmarkTimedPool(b *testing.B) {
+	const calls = 1 << 12
+	type call struct{ at, hold uint64 }
+	script := make([]call, calls)
+	src := rng.New(0x9001)
+	clock := uint64(1 << 20)
+	for i := range script {
+		step := 30
+		if i%256 < 26 {
+			step = 1
+		}
+		clock += uint64(src.Intn(2*step + 1))
+		hold := uint64(100 + src.Intn(60))
+		if src.Intn(8) == 0 {
+			hold = uint64(500 + src.Intn(600))
+		}
+		script[i] = call{at: clock - uint64(src.Intn(12)), hold: hold}
+	}
+	p := NewTimedPool(32)
+	var base uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%calls == 0 {
+			base += clock + 1<<12
+		}
+		c := script[i%calls]
+		now := base + c.at
+		p.Occupy(now, p.Reserve(now)+c.hold)
+	}
+}

@@ -6,45 +6,53 @@ import "testing"
 // experiment harness or scheduler in the way. These are the numbers the
 // batching work in run.go is tuned against.
 
-func benchRun(b *testing.B, cores int, names []string) {
+// benchRun builds and runs the machine b.N times and reports Minstr/s over
+// every instruction its cores simulated: each core's warm-up, counted at
+// its target, and everything it retired after the warm-up boundary,
+// including the re-execution of apps that finish their window before the
+// slowest. perf's sim_minstr_per_s counts instructions the same way, so
+// the two read alike; construction, under 1% of a run, stays in the timer.
+func benchRun(b *testing.B, cfg Config, names []string) {
 	b.Helper()
-	cfg := quickConfig(cores)
+	const warmup, measure = 5_000, 50_000
 	var instr uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := NewFromNames(cfg, names).Run(5_000, 50_000)
-		for _, app := range res.Apps {
-			instr += app.Instructions
+		s := NewFromNames(cfg, names)
+		s.Run(warmup, measure)
+		for _, c := range s.cores {
+			instr += warmup + c.Retired()
 		}
 	}
 	b.StopTimer()
-	if instr == 0 {
-		b.Fatal("no instructions retired")
-	}
-	b.ReportMetric(float64(instr)/float64(b.Elapsed().Seconds())/1e6, "Minstr/s")
+	b.ReportMetric(float64(instr)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
 func BenchmarkRunSolo(b *testing.B) {
-	benchRun(b, 1, []string{"mcf"})
+	benchRun(b, quickConfig(1), []string{"mcf"})
 }
 
 func BenchmarkRunSoloCompute(b *testing.B) {
-	benchRun(b, 1, []string{"calc"})
+	benchRun(b, quickConfig(1), []string{"calc"})
 }
 
 func BenchmarkRunMix4(b *testing.B) {
-	benchRun(b, 4, []string{"calc", "mcf", "libq", "gcc"})
+	benchRun(b, quickConfig(4), []string{"calc", "mcf", "libq", "gcc"})
 }
 
 // BenchmarkRunMix16 is a balanced 16-core mix: private work (trace
 // generation, core stepping, L1/L2) dominates the profile.
 func BenchmarkRunMix16(b *testing.B) {
-	benchRun(b, 16, balanced16)
+	benchRun(b, quickConfig(16), balanced16)
 }
 
 // BenchmarkRunMix16Streaming is the substrate-bound counterpart: a 16-core
 // all-streaming/thrashing mix whose aggregate L2 miss density keeps the
-// arbiter, the LLC and the DRAM banks busy.
+// arbiter, the LLC and the DRAM banks busy. Its LLC runs ADAPT_bp32, the
+// policy of perf's mix16-streaming workload, whose bypasses skip the
+// victim scan that a TA-DRRIP LLC would make on every miss.
 func BenchmarkRunMix16Streaming(b *testing.B) {
-	benchRun(b, 16, streaming16)
+	cfg := quickConfig(16)
+	cfg.LLCPolicy = "adapt"
+	benchRun(b, cfg, streaming16)
 }
