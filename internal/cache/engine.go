@@ -25,46 +25,59 @@ const MaxRRPV = 3
 // FillDecision (allocate at VictimFor) are the family's defaults, which an
 // embedding policy inherits unless it declares its own.
 //
-// Victim selection is a single bucket scan per call. The per-set hint — an
-// upper bound on the set's maximum RRPV — lets the scan stop at the first
-// way that reaches the bound, in the common post-aging state the first
-// distant line. The summaries are hints, never semantics: decisions are
-// bit-identical to the original retry/aging formulation
+// Each set's RRPVs are packed eight to a uint64 word, way w in byte w%8
+// of the set's word w/8, so victim selection on a full set reads eight
+// ways at a time. The bytes past the last way pad the set's last word;
+// they stay zero, take no part in a search and are never aged. Decisions
+// are bit-identical to the original retry/aging formulation
 // (TestVictimMatchesReference).
 type Engine struct {
 	geom     Geometry
-	rrpv     []uint8
-	waysMask uint64  // low geom.Ways bits set
-	hint     []uint8 // per set: upper bound on the max RRPV of the set
+	rrpv     []uint64 // words per set, each set's ways packed from its first
+	words    int      // words per set: geom.Ways/8 rounded up
+	waysMask uint64   // low geom.Ways bits set
+	tail     uint64   // the bytes of a set's last word that hold ways
 }
 
 // NewEngine builds an engine for the given cache geometry.
 func NewEngine(g Geometry) Engine {
+	words := (g.Ways + 7) / 8
+	tail := ^uint64(0)
+	if r := g.Ways % 8; r != 0 {
+		tail = uint64(1)<<(8*r) - 1
+	}
 	return Engine{
 		geom:     g,
-		rrpv:     make([]uint8, g.Sets*g.Ways),
+		rrpv:     make([]uint64, g.Sets*words),
+		words:    words,
 		waysMask: uint64(1)<<uint(g.Ways) - 1,
-		hint:     make([]uint8, g.Sets),
+		tail:     tail,
 	}
 }
 
-func (e *Engine) idx(set, way int) int { return set*e.geom.Ways + way }
+// slot returns the word holding a line's RRPV and the line's bit offset
+// in it.
+func (e *Engine) slot(set, way int) (*uint64, uint) {
+	return &e.rrpv[set*e.words+way>>3], uint(way&7) * 8
+}
 
-// Promote sets the line to near-immediate re-reference (RRPV 0). The set's
-// max-RRPV hint is left alone: it is an upper bound, and lowering one value
-// cannot raise the maximum.
-func (e *Engine) Promote(set, way int) { e.rrpv[e.idx(set, way)] = 0 }
+// Promote sets the line to near-immediate re-reference (RRPV 0).
+func (e *Engine) Promote(set, way int) {
+	w, sh := e.slot(set, way)
+	*w &^= 0xFF << sh
+}
 
 // SetRRPV records the insertion value of a fresh fill.
 func (e *Engine) SetRRPV(set, way int, v uint8) {
-	e.rrpv[e.idx(set, way)] = v
-	if v > e.hint[set] {
-		e.hint[set] = v
-	}
+	w, sh := e.slot(set, way)
+	*w = *w&^(0xFF<<sh) | uint64(v)<<sh
 }
 
 // RRPVAt exposes a line's current RRPV (tests and diagnostics).
-func (e *Engine) RRPVAt(set, way int) uint8 { return e.rrpv[e.idx(set, way)] }
+func (e *Engine) RRPVAt(set, way int) uint8 {
+	w, sh := e.slot(set, way)
+	return uint8(*w >> sh)
+}
 
 // OnHit is the RRIP family's default hit callback: promote the line.
 func (e *Engine) OnHit(a *Access, set, way int) { e.Promote(set, way) }
@@ -75,6 +88,9 @@ func (e *Engine) FillDecision(a *Access, set int, valid, ways uint64) (int, bool
 	return e.VictimFor(set, valid, ways), true
 }
 
+// lsb has the lowest bit of every byte of a word set.
+const lsb = 0x0101010101010101
+
 // Victim returns the way to replace in set, given the set's valid-way
 // bitset: the lowest-indexed invalid way if one exists, otherwise the
 // lowest-indexed way holding the set's maximum RRPV, after aging every line
@@ -83,31 +99,46 @@ func (e *Engine) FillDecision(a *Access, set int, valid, ways uint64) (int, bool
 // to every way at once, which is exactly what the retry loop's repeated +1
 // rounds amount to (no line can pass MaxRRPV, because none exceeds the set
 // maximum).
+//
+// The scan reads eight ways per word. An RRPV is at most MaxRRPV (binary
+// 11), so bit 1 of a way's byte marks the ways at 2 or more, bits 0 and 1
+// together the ways at MaxRRPV, and either bit the ways at 1 or more; the
+// lowest such way in a word is its trailing zeros over 8. The scan returns
+// at the first word holding MaxRRPV, where nothing ages. Aging adds the
+// same delta to every byte of a word, which cannot carry into the next
+// byte since no value passes MaxRRPV, and the last word's padding bytes
+// are masked out of the add.
 func (e *Engine) Victim(set int, valid uint64) int {
-	ways := e.geom.Ways
-	base := set * ways
 	if valid != e.waysMask {
 		return bits.TrailingZeros64(^valid & e.waysMask)
 	}
-	bound := e.hint[set]
-	maxW := 0
-	maxV := e.rrpv[base]
-	if maxV < bound {
-		for w := 1; w < ways; w++ {
-			if v := e.rrpv[base+w]; v > maxV {
-				maxW, maxV = w, v
-				if v == bound {
-					break // nothing in the set can exceed the hint
-				}
-			}
+	first, end := set*e.words, (set+1)*e.words
+	at2, at1 := -1, -1 // the first way at 2, and at 1 or more
+	for i := first; i < end; i++ {
+		x := e.rrpv[i]
+		hi := x >> 1 & lsb
+		if top := hi & x; top != 0 {
+			return 8*(i-first) + bits.TrailingZeros64(top)>>3
+		}
+		if at2 < 0 && hi != 0 {
+			at2 = 8*(i-first) + bits.TrailingZeros64(hi)>>3
+		}
+		if lo := (x | x>>1) & lsb; at1 < 0 && lo != 0 {
+			at1 = 8*(i-first) + bits.TrailingZeros64(lo)>>3
 		}
 	}
-	if delta := MaxRRPV - maxV; delta > 0 {
-		for w := 0; w < ways; w++ {
-			e.rrpv[base+w] += delta
-		}
+	maxW, delta := 0, uint64(MaxRRPV)
+	switch {
+	case at2 >= 0:
+		maxW, delta = at2, MaxRRPV-2
+	case at1 >= 0:
+		maxW, delta = at1, MaxRRPV-1
 	}
-	e.hint[set] = MaxRRPV
+	inc := delta * lsb
+	for i := first; i < end-1; i++ {
+		e.rrpv[i] += inc
+	}
+	e.rrpv[end-1] += inc & e.tail
 	return maxW
 }
 
@@ -127,10 +158,8 @@ func (e *Engine) VictimFor(set int, valid, ways uint64) int {
 // holding the masked maximum RRPV after aging the masked ways up to distant.
 // Aging touches only the masked partition — the other clusters' re-reference
 // state must not be perturbed by this cluster's misses, that is the whole
-// point of partitioning. The set's hint rises to MaxRRPV (still a valid
-// upper bound).
+// point of partitioning.
 func (e *Engine) victimMasked(set int, valid, mask uint64) int {
-	base := set * e.geom.Ways
 	if inv := ^valid & mask; inv != 0 {
 		return bits.TrailingZeros64(inv) // lowest-indexed invalid masked way
 	}
@@ -138,16 +167,16 @@ func (e *Engine) victimMasked(set int, valid, mask uint64) int {
 	var maxV uint8
 	for m := mask; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros64(m)
-		if v := e.rrpv[base+w]; maxW < 0 || v > maxV {
+		if v := e.RRPVAt(set, w); maxW < 0 || v > maxV {
 			maxW, maxV = w, v
 		}
 	}
-	if delta := MaxRRPV - maxV; delta > 0 {
+	if delta := uint64(MaxRRPV - maxV); delta > 0 {
 		for m := mask; m != 0; m &= m - 1 {
-			e.rrpv[base+bits.TrailingZeros64(m)] += delta
+			w, sh := e.slot(set, bits.TrailingZeros64(m))
+			*w += delta << sh
 		}
 	}
-	e.hint[set] = MaxRRPV
 	return maxW
 }
 

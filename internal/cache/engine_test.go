@@ -54,14 +54,21 @@ func (e *refEngine) victim(set int) int {
 // TestVictimMatchesReference drives the optimized engine and the reference
 // through a long random schedule of promote/fill/invalidate/victim
 // operations and requires bit-identical decisions and RRPV state at every
-// step. This is the guard that the single-scan rewrite (and its hint
-// summaries) changed performance, not semantics. The engine reads validity
-// from the caller, so the test keeps the valid words a cache would.
+// step. This is the guard that the word-at-a-time scan changed
+// performance, not semantics. The engine reads validity from the caller, so
+// the test keeps the valid words a cache would. The associativities cover
+// one word, several words, and a last word that holds 1, 3, 4 or 8 ways.
 func TestVictimMatchesReference(t *testing.T) {
 	for _, g := range []Geometry{
 		{Sets: 16, Ways: 4, Cores: 2},
 		{Sets: 64, Ways: 16, Cores: 8},
 		{Sets: 8, Ways: 3, Cores: 1}, // odd associativity
+		{Sets: 8, Ways: 1, Cores: 1},
+		{Sets: 16, Ways: 8, Cores: 2},
+		{Sets: 16, Ways: 12, Cores: 4},
+		{Sets: 16, Ways: 24, Cores: 4}, // Figure 7's larger caches
+		{Sets: 16, Ways: 32, Cores: 4},
+		{Sets: 8, Ways: 64, Cores: 4}, // the widest valid word
 	} {
 		e := NewEngine(g)
 		valid := make([]uint64, g.Sets)
@@ -93,11 +100,9 @@ func TestVictimMatchesReference(t *testing.T) {
 				valid[set] |= 1 << uint(got)
 				ref.setRRPV(set, got, v)
 			}
-			base := set * g.Ways
 			for w := 0; w < g.Ways; w++ {
-				if valid[set]&(1<<uint(w)) != 0 && e.rrpv[base+w] != ref.rrpv[base+w] {
-					t.Fatalf("geom %+v step %d: rrpv[%d,%d] = %d, reference %d",
-						g, step, set, w, e.rrpv[base+w], ref.rrpv[base+w])
+				if got, want := e.RRPVAt(set, w), ref.rrpv[ref.idx(set, w)]; valid[set]&(1<<uint(w)) != 0 && got != want {
+					t.Fatalf("geom %+v step %d: rrpv[%d,%d] = %d, reference %d", g, step, set, w, got, want)
 				}
 			}
 		}

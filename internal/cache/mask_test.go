@@ -10,7 +10,6 @@ import (
 // lowest-indexed invalid masked way, else lowest-indexed masked way holding
 // the masked maximum RRPV.
 func refVictimMasked(e *Engine, set int, valid, mask uint64) int {
-	base := set * e.geom.Ways
 	for w := 0; w < e.geom.Ways; w++ {
 		if mask&(1<<uint(w)) != 0 && valid&(1<<uint(w)) == 0 {
 			return w
@@ -21,7 +20,7 @@ func refVictimMasked(e *Engine, set int, valid, mask uint64) int {
 		if mask&(1<<uint(w)) == 0 {
 			continue
 		}
-		if v := int(e.rrpv[base+w]); v > bestV {
+		if v := int(e.RRPVAt(set, w)); v > bestV {
 			best, bestV = w, v
 		}
 	}

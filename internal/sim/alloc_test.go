@@ -64,8 +64,8 @@ func TestConstructionAllocs(t *testing.T) {
 		names []string
 		want  float64
 	}{
-		{"balanced16/x64", quickConfig(len(balanced16)), balanced16, 855},
-		{"mixA/unscaled", DefaultConfig(4), []string{"calc", "mcf", "libq", "lbm"}, 271},
+		{"balanced16/x64", quickConfig(len(balanced16)), balanced16, 838},
+		{"mixA/unscaled", DefaultConfig(4), []string{"calc", "mcf", "libq", "lbm"}, 266},
 	} {
 		cfg := tc.cfg
 		cfg.LLCPolicy = "tadrrip"
