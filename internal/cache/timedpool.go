@@ -5,11 +5,9 @@ package cache
 // question those structures pose to the rest of the simulator: "if I need an
 // entry at time t, when do I actually get one?".
 //
-// The pool keeps a binary min-heap of its occupations keyed by completion
-// time. Reserve returns the earliest time at or after `now` at which an
-// entry is available; the caller then computes the operation's completion
-// time and registers it with Occupy, repeating the arrival time it gave
-// Reserve.
+// Reserve returns the earliest time at or after `now` at which an entry is
+// available; the caller then computes the operation's completion time and
+// registers it with Occupy, repeating the arrival time it gave Reserve.
 //
 // Callers may present arrival times out of global time order: the event
 // loop interleaves cores at one-op granularity, and the shared pools (the
@@ -27,10 +25,18 @@ package cache
 // it. Both shortcuts are deterministic functions of the call sequence, so
 // batch invariance is unaffected.
 //
+// The stall tie rule: a request that finds every entry held by requests
+// at or before it waits for the earliest completion, and among the
+// occupations that complete then it takes the entry of the one that
+// arrived first, as first-come first-served would. The pool keeps its
+// occupations in a slice sorted by (done, arrival), so a drain drops a
+// prefix and a stall takes the head, and every answer of the pool is a
+// function of the multiset of tracked claims, never of call order.
+//
 // The zero value is unusable; use NewTimedPool.
 type TimedPool struct {
 	capacity int
-	occs     []occupation // min-heap keyed by done time
+	occs     []occupation // sorted by (done, arrival), ascending
 	pending  int          // Reserves awaiting their Occupy
 
 	// Stats.
@@ -43,6 +49,11 @@ type TimedPool struct {
 type occupation struct {
 	arrival uint64
 	done    uint64
+}
+
+// before reports whether o sorts ahead of q: by done, then by arrival.
+func (o occupation) before(q occupation) bool {
+	return o.done < q.done || o.done == q.done && o.arrival < q.arrival
 }
 
 // NewTimedPool returns a pool with the given number of entries.
@@ -81,13 +92,18 @@ func (p *TimedPool) BusyAt(t uint64) int {
 //     logically-earlier request goes first: it is served at now with no
 //     stall and the latest-arriving occupation gives up its tracking slot.
 //   - Otherwise every entry is held by a request at or before now and the
-//     caller is delayed until the earliest one drains.
+//     caller is delayed until the earliest one drains, taking the entry of
+//     the earliest-arriving occupation done then (the stall tie rule).
 func (p *TimedPool) Reserve(now uint64) uint64 {
 	p.reservations++
 	p.pending++
-	// Drain occupations that have completed by now.
-	for len(p.occs) > 0 && p.occs[0].done <= now {
-		p.pop()
+	// Drain occupations that have completed by now: a prefix.
+	n := 0
+	for n < len(p.occs) && p.occs[n].done <= now {
+		n++
+	}
+	if n > 0 {
+		p.occs = p.occs[:copy(p.occs, p.occs[n:])]
 	}
 	if len(p.occs) < p.capacity {
 		return now
@@ -105,7 +121,7 @@ func (p *TimedPool) Reserve(now uint64) uint64 {
 		return now
 	}
 	earliest := p.occs[0].done
-	p.pop()
+	p.removeAt(0)
 	p.stallCycles += earliest - now
 	return earliest
 }
@@ -126,7 +142,14 @@ func (p *TimedPool) Occupy(arrivedAt, until uint64) {
 	if len(p.occs) >= p.capacity {
 		panic("cache: TimedPool over capacity (Reserve/Occupy pairing broken)")
 	}
-	p.push(occupation{arrival: arrivedAt, done: until})
+	// Insert from the back, after every occupation not sorted behind o.
+	o := occupation{arrival: arrivedAt, done: until}
+	i := len(p.occs)
+	p.occs = append(p.occs, o)
+	for ; i > 0 && o.before(p.occs[i-1]); i-- {
+		p.occs[i] = p.occs[i-1]
+	}
+	p.occs[i] = o
 }
 
 // StallCycles returns the cumulative cycles callers were delayed waiting for
@@ -142,53 +165,5 @@ func (p *TimedPool) ResetStats() {
 	p.reservations = 0
 }
 
-func (p *TimedPool) push(o occupation) {
-	p.occs = append(p.occs, o)
-	i := len(p.occs) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if p.occs[parent].done <= p.occs[i].done {
-			break
-		}
-		p.occs[parent], p.occs[i] = p.occs[i], p.occs[parent]
-		i = parent
-	}
-}
-
-// pop removes the minimum-done occupation.
-func (p *TimedPool) pop() { p.removeAt(0) }
-
-// removeAt removes the occupation at heap index i, restoring heap order.
-func (p *TimedPool) removeAt(i int) {
-	n := len(p.occs) - 1
-	p.occs[i] = p.occs[n]
-	p.occs = p.occs[:n]
-	if i == n {
-		return
-	}
-	// Sift up (the moved element may beat its parent)...
-	for i > 0 {
-		parent := (i - 1) / 2
-		if p.occs[parent].done <= p.occs[i].done {
-			break
-		}
-		p.occs[parent], p.occs[i] = p.occs[i], p.occs[parent]
-		i = parent
-	}
-	// ...then down.
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && p.occs[l].done < p.occs[smallest].done {
-			smallest = l
-		}
-		if r < n && p.occs[r].done < p.occs[smallest].done {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		p.occs[i], p.occs[smallest] = p.occs[smallest], p.occs[i]
-		i = smallest
-	}
-}
+// removeAt removes the occupation at index i, keeping the others' order.
+func (p *TimedPool) removeAt(i int) { p.occs = append(p.occs[:i], p.occs[i+1:]...) }

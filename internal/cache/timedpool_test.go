@@ -92,6 +92,27 @@ func TestTimedPoolQueuedEarlierRequestStillBlocks(t *testing.T) {
 	p.Occupy(20, 300)
 }
 
+// TestTimedPoolStallTakesEarliestArrivalOnTie pins the stall tie rule: of
+// two claims that complete together, a stalled request takes the entry of
+// the one that arrived first, whichever was occupied first.
+func TestTimedPoolStallTakesEarliestArrivalOnTie(t *testing.T) {
+	p := NewTimedPool(2)
+	p.Reserve(100)
+	p.Occupy(100, 200)
+	p.Reserve(50)
+	p.Occupy(50, 200)
+	if start := p.Reserve(150); start != 200 {
+		t.Fatalf("stalled request served at %d, want 200", start)
+	}
+	// The arrival-50 claim gave up its entry; the arrival-100 one remains.
+	if got := p.BusyAt(60); got != 0 {
+		t.Fatalf("BusyAt(60) = %d, want 0: the arrival-50 claim should be gone", got)
+	}
+	if got := p.BusyAt(120); got != 1 {
+		t.Fatalf("BusyAt(120) = %d, want 1: the arrival-100 claim should remain", got)
+	}
+}
+
 func TestTimedPoolBusyAt(t *testing.T) {
 	p := NewTimedPool(4)
 	for _, until := range []uint64{10, 20, 30} {
@@ -193,7 +214,9 @@ func TestTimedPoolResetStats(t *testing.T) {
 // call. Arrivals move back and forth over a sliding window on a coarse
 // grid, so full pools meet displacement candidates that tie on arrival and
 // stalls on occupations that complete together, and one window in eight
-// is degenerate.
+// is degenerate. One call in eight completes at the done time of a tracked
+// claim that arrived later, so that a stall's tie can be broken against
+// the order in which the claims were occupied.
 func TestTimedPoolMatchesListModel(t *testing.T) {
 	for _, capacity := range []int{1, 2, 4, 8} {
 		for seed := uint64(1); seed <= 40; seed++ {
@@ -204,6 +227,10 @@ func TestTimedPoolMatchesListModel(t *testing.T) {
 				if p.StallCycles() != ref.stallCycles || p.InFlight() != len(ref.occs) {
 					t.Fatalf("cap %d seed %d step %d, after %s: stall %d, in flight %d; model %d, %d",
 						capacity, seed, step, call, p.StallCycles(), p.InFlight(), ref.stallCycles, len(ref.occs))
+				}
+				if !sameOccupations(ref.occs, p.occs) {
+					t.Fatalf("cap %d seed %d step %d, after %s: pool holds %v, model %v",
+						capacity, seed, step, call, p.occs, ref.occs)
 				}
 				for k := 0; k < 3; k++ {
 					at := clock - 64 + uint64(src.Intn(192))
@@ -217,22 +244,25 @@ func TestTimedPoolMatchesListModel(t *testing.T) {
 				clock += uint64(src.Intn(4))
 				now := clock - 32 + 4*uint64(src.Intn(16))
 				start := p.Reserve(now)
-				want, gone := ref.reserve(now)
-				if start != want {
+				if want := ref.reserve(now); start != want {
 					t.Fatalf("cap %d seed %d step %d: Reserve(%d) = %d, model %d",
 						capacity, seed, step, now, start, want)
 				}
-				if !ref.follow(gone, p.occs) {
-					t.Fatalf("cap %d seed %d step %d: Reserve(%d) left %v; model %v less one of %v",
-						capacity, seed, step, now, p.occs, ref.occs, gone)
-				}
 				check(step, "Reserve")
 				until := start + 1 + uint64(src.Intn(48))
-				if src.Intn(2) == 0 {
-					until = start + 8*uint64(1+src.Intn(6)) // on a grid, so completions tie
-				}
-				if src.Intn(8) == 0 {
+				switch src.Intn(8) {
+				case 0:
 					until = now - uint64(src.Intn(2)) // degenerate: not tracked
+				case 1, 2, 3:
+					until = start + 8*uint64(1+src.Intn(6)) // on a grid, so completions tie
+				case 4:
+					// Tie with a tracked claim that arrived later.
+					for _, o := range ref.occs {
+						if o.arrival > now && o.done > now {
+							until = o.done
+							break
+						}
+					}
 				}
 				p.Occupy(now, until)
 				ref.occupy(now, until)
@@ -246,8 +276,7 @@ func TestTimedPoolMatchesListModel(t *testing.T) {
 // forgets every occupation done by now, a full pool displaces the
 // latest-arriving occupation that arrived after now (the later done on a
 // tie), and otherwise the request stalls until the earliest done and takes
-// the entry of one of the occupations done then. Which one is the heap's
-// layout, so the model follows the pool there.
+// the entry of the earliest-arriving occupation done then.
 type listPool struct {
 	capacity    int
 	occs        []occupation
@@ -264,9 +293,8 @@ func (m *listPool) busyAt(t uint64) int {
 	return n
 }
 
-// reserve returns the answer for a request at now and the occupations
-// of which the call gives up exactly one (none if the pool had room).
-func (m *listPool) reserve(now uint64) (start uint64, gone []occupation) {
+// reserve returns the answer for a request at now.
+func (m *listPool) reserve(now uint64) uint64 {
 	kept := m.occs[:0]
 	for _, o := range m.occs {
 		if o.done > now {
@@ -275,7 +303,7 @@ func (m *listPool) reserve(now uint64) (start uint64, gone []occupation) {
 	}
 	m.occs = kept
 	if len(m.occs) < m.capacity {
-		return now, nil
+		return now
 	}
 	victim, first := -1, 0
 	for i, o := range m.occs {
@@ -283,43 +311,17 @@ func (m *listPool) reserve(now uint64) (start uint64, gone []occupation) {
 			(o.arrival == m.occs[victim].arrival && o.done > m.occs[victim].done)) {
 			victim = i
 		}
-		if o.done < m.occs[first].done {
+		if f := m.occs[first]; o.done < f.done || o.done == f.done && o.arrival < f.arrival {
 			first = i
 		}
 	}
-	if victim >= 0 {
-		return now, []occupation{m.occs[victim]}
+	start := now
+	if victim < 0 {
+		victim, start = first, m.occs[first].done
+		m.stallCycles += start - now
 	}
-	earliest := m.occs[first].done
-	for _, o := range m.occs {
-		if o.done == earliest {
-			gone = append(gone, o)
-		}
-	}
-	m.stallCycles += earliest - now
-	return earliest, gone
-}
-
-// follow removes from the model the one occupation in gone whose removal
-// leaves the pool's occupations, and reports whether there is one.
-func (m *listPool) follow(gone, pool []occupation) bool {
-	if len(gone) == 0 {
-		return sameOccupations(m.occs, pool)
-	}
-	for _, g := range gone {
-		for i, o := range m.occs {
-			if o != g {
-				continue
-			}
-			rest := append(append([]occupation(nil), m.occs[:i]...), m.occs[i+1:]...)
-			if sameOccupations(rest, pool) {
-				m.occs = rest
-				return true
-			}
-			break
-		}
-	}
-	return false
+	m.occs = append(m.occs[:victim], m.occs[victim+1:]...)
+	return start
 }
 
 func (m *listPool) occupy(arrivedAt, until uint64) {

@@ -61,7 +61,7 @@ func TestJobKeyGolden(t *testing.T) {
 		"lbm", "STRM", "libq", "milc", "calc", "mcf", "art", "gcc",
 	}
 	j := testJob(42, names...)
-	const want = "37fed56f4fac76fad685074dcabf489481fabe68fa6aaebf45abc8663bb66af4"
+	const want = "8deedb90ef60b970391d2d2c09b95d7fcbef867bd953b23889718462987c494e"
 	if got := j.Key(); got != want {
 		t.Fatalf("Job.Key drifted:\n  got  %s\n  want %s", got, want)
 	}

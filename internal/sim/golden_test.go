@@ -21,7 +21,9 @@ import "testing"
 // names participate in the result digest, so every fingerprint moved even
 // for unclustered configs; the two cluster-mode rows additionally pin the
 // classifier + way-mask enforcement semantics. A deliberate bump, paired
-// with schedule.KeySchema job/v5 in the same commit.
+// with schedule.KeySchema job/v5 in the same commit. Unchanged at job/v6
+// (the pool's stall tie rule): no corpus run meets a tied stall whose
+// choice changes a later answer.
 var goldenFingerprints = []struct {
 	name    string
 	names   []string
