@@ -42,41 +42,32 @@ type Engine struct {
 // NewEngine builds an engine for the given cache geometry.
 func NewEngine(g Geometry) Engine {
 	words := (g.Ways + 7) / 8
-	tail := ^uint64(0)
-	if r := g.Ways % 8; r != 0 {
-		tail = uint64(1)<<(8*r) - 1
-	}
 	return Engine{
 		geom:     g,
 		rrpv:     make([]uint64, g.Sets*words),
 		words:    words,
 		waysMask: uint64(1)<<uint(g.Ways) - 1,
-		tail:     tail,
+		tail:     ^uint64(0) >> uint(8*(8*words-g.Ways)),
 	}
 }
 
-// slot returns the word holding a line's RRPV and the line's bit offset
-// in it.
-func (e *Engine) slot(set, way int) (*uint64, uint) {
-	return &e.rrpv[set*e.words+way>>3], uint(way&7) * 8
-}
+// slot returns the index of the word holding a line's RRPV and the line's
+// bit offset in it.
+func (e *Engine) slot(set, way int) (int, uint) { return set*e.words + way>>3, uint(way&7) * 8 }
 
 // Promote sets the line to near-immediate re-reference (RRPV 0).
-func (e *Engine) Promote(set, way int) {
-	w, sh := e.slot(set, way)
-	*w &^= 0xFF << sh
-}
+func (e *Engine) Promote(set, way int) { e.SetRRPV(set, way, 0) }
 
 // SetRRPV records the insertion value of a fresh fill.
 func (e *Engine) SetRRPV(set, way int, v uint8) {
-	w, sh := e.slot(set, way)
-	*w = *w&^(0xFF<<sh) | uint64(v)<<sh
+	i, sh := e.slot(set, way)
+	e.rrpv[i] = e.rrpv[i]&^(0xFF<<sh) | uint64(v)<<sh
 }
 
 // RRPVAt exposes a line's current RRPV (tests and diagnostics).
 func (e *Engine) RRPVAt(set, way int) uint8 {
-	w, sh := e.slot(set, way)
-	return uint8(*w >> sh)
+	i, sh := e.slot(set, way)
+	return uint8(e.rrpv[i] >> sh)
 }
 
 // OnHit is the RRIP family's default hit callback: promote the line.
@@ -98,16 +89,13 @@ const lsb = 0x0101010101010101
 // age, retry" loop converges on, found in one pass. Aging adds MaxRRPV-max
 // to every way at once, which is exactly what the retry loop's repeated +1
 // rounds amount to (no line can pass MaxRRPV, because none exceeds the set
-// maximum).
+// maximum), so a word's add cannot carry between its bytes.
 //
-// The scan reads eight ways per word. An RRPV is at most MaxRRPV (binary
-// 11), so bit 1 of a way's byte marks the ways at 2 or more, bits 0 and 1
-// together the ways at MaxRRPV, and either bit the ways at 1 or more; the
-// lowest such way in a word is its trailing zeros over 8. The scan returns
-// at the first word holding MaxRRPV, where nothing ages. Aging adds the
-// same delta to every byte of a word, which cannot carry into the next
-// byte since no value passes MaxRRPV, and the last word's padding bytes
-// are masked out of the add.
+// An RRPV is at most MaxRRPV (binary 11), so bit 1 of a way's byte marks
+// the ways at 2 or more, bits 0 and 1 together the ways at MaxRRPV, and
+// either bit the ways at 1 or more; the lowest such way in a word is its
+// trailing zeros over 8. The scan returns at the first word holding
+// MaxRRPV, where nothing ages.
 func (e *Engine) Victim(set int, valid uint64) int {
 	if valid != e.waysMask {
 		return bits.TrailingZeros64(^valid & e.waysMask)
@@ -128,10 +116,9 @@ func (e *Engine) Victim(set int, valid uint64) int {
 		}
 	}
 	maxW, delta := 0, uint64(MaxRRPV)
-	switch {
-	case at2 >= 0:
+	if at2 >= 0 {
 		maxW, delta = at2, MaxRRPV-2
-	case at1 >= 0:
+	} else if at1 >= 0 {
 		maxW, delta = at1, MaxRRPV-1
 	}
 	inc := delta * lsb
@@ -173,8 +160,8 @@ func (e *Engine) victimMasked(set int, valid, mask uint64) int {
 	}
 	if delta := uint64(MaxRRPV - maxV); delta > 0 {
 		for m := mask; m != 0; m &= m - 1 {
-			w, sh := e.slot(set, bits.TrailingZeros64(m))
-			*w += delta << sh
+			i, sh := e.slot(set, bits.TrailingZeros64(m))
+			e.rrpv[i] += delta << sh
 		}
 	}
 	return maxW

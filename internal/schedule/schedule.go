@@ -69,14 +69,11 @@ import (
 // commit (field names participate in the result digest), so v4 disk-cache
 // segments must strand.
 //
-// v6: the stall tie rule (cache.TimedPool). A request that stalls on a
-// full MSHR or write-back pool whose earliest occupations complete in the
-// same cycle takes the entry of the one that arrived first; the binary
-// heap before it gave up whichever its sifts left at the root. Results
-// move only where a full pool stalls on tied completions with different
-// arrivals and the claim left behind changes a later answer; the golden
-// corpus is identical to v5, as v3's was to v2, but a v5 segment may hold
-// a result that v6 computes differently, so v5 segments must strand.
+// v6: the stall tie rule (cache.TimedPool): a stall on a full pool whose
+// earliest occupations complete together takes the earliest-arriving one's
+// entry, not whichever the old heap's sifts left at its root. Results move
+// only where such a tie has different arrivals and the choice matters
+// later; as with v3, the golden corpus is unchanged.
 const KeySchema = "job/v6+" + sim.FingerprintSchema
 
 // Job is one simulation request: a fully-configured machine (any
