@@ -100,32 +100,28 @@ func (e *Engine) Victim(set int, valid uint64) int {
 	if valid != e.waysMask {
 		return bits.TrailingZeros64(^valid & e.waysMask)
 	}
-	first, end := set*e.words, (set+1)*e.words
-	at2, at1 := -1, -1 // the first way at 2, and at 1 or more
-	for i := first; i < end; i++ {
-		x := e.rrpv[i]
+	first := set * e.words
+	if x := e.rrpv[first]; x>>1&x&lsb != 0 {
+		return bits.TrailingZeros64(x>>1&x&lsb) >> 3
+	}
+	maxW, maxV := 0, uint64(0) // the lowest way at the highest value below 3
+	for i := 0; i < e.words; i++ {
+		x := e.rrpv[first+i]
 		hi := x >> 1 & lsb
 		if top := hi & x; top != 0 {
-			return 8*(i-first) + bits.TrailingZeros64(top)>>3
+			return 8*i + bits.TrailingZeros64(top)>>3
 		}
-		if at2 < 0 && hi != 0 {
-			at2 = 8*(i-first) + bits.TrailingZeros64(hi)>>3
-		}
-		if lo := (x | x>>1) & lsb; at1 < 0 && lo != 0 {
-			at1 = 8*(i-first) + bits.TrailingZeros64(lo)>>3
+		if maxV < 2 && hi != 0 {
+			maxW, maxV = 8*i+bits.TrailingZeros64(hi)>>3, 2
+		} else if lo := (x | x>>1) & lsb; maxV < 1 && lo != 0 {
+			maxW, maxV = 8*i+bits.TrailingZeros64(lo)>>3, 1
 		}
 	}
-	maxW, delta := 0, uint64(MaxRRPV)
-	if at2 >= 0 {
-		maxW, delta = at2, MaxRRPV-2
-	} else if at1 >= 0 {
-		maxW, delta = at1, MaxRRPV-1
-	}
-	inc := delta * lsb
-	for i := first; i < end-1; i++ {
+	inc, last := (MaxRRPV-maxV)*lsb, first+e.words-1
+	for i := first; i < last; i++ {
 		e.rrpv[i] += inc
 	}
-	e.rrpv[end-1] += inc & e.tail
+	e.rrpv[last] += inc & e.tail
 	return maxW
 }
 
