@@ -33,7 +33,7 @@ const MaxRRPV = 3
 // (TestVictimMatchesReference).
 type Engine struct {
 	geom     Geometry
-	rrpv     []uint64 // words per set, each set's ways packed from its first
+	rrpv     []uint64 // packed RRPVs, words per set
 	words    int      // words per set: geom.Ways/8 rounded up
 	waysMask uint64   // low geom.Ways bits set
 	tail     uint64   // the bytes of a set's last word that hold ways
@@ -101,7 +101,7 @@ func (e *Engine) Victim(set int, valid uint64) int {
 		return bits.TrailingZeros64(^valid & e.waysMask)
 	}
 	first := set * e.words
-	if x := e.rrpv[first]; x>>1&x&lsb != 0 {
+	if x := e.rrpv[first]; x>>1&x&lsb != 0 { // the common case, ahead of the scan
 		return bits.TrailingZeros64(x>>1&x&lsb) >> 3
 	}
 	maxW, maxV := 0, uint64(0) // the lowest way at the highest value below 3

@@ -349,12 +349,12 @@ func sameOccupations(a, b []occupation) bool {
 }
 
 // BenchmarkTimedPool drives one pool shaped like the simulator's LLC-side
-// and L2 pools: 32 entries, arrivals up to 11 cycles out of order around a
+// and L2 pools: 32 entries, arrivals up to 19 cycles out of order around a
 // clock that moves 30 cycles per call on average, holds of 100 to 159
-// cycles with one in eight of 500 to 1,099, and a burst of 26 calls one
-// cycle apart every 256. A Reserve then finds about nine claims tracked
-// and drains about one, and about one call in a hundred meets a full pool,
-// which it resolves by stalling or, a third as often, by displacing a later
+// cycles with one in eight of 500 to 1,099, and a burst of 27 calls about
+// a cycle apart every 256. A Reserve then finds about nine claims tracked
+// and drains about one, and about one call in ninety meets a full pool,
+// which it resolves by stalling or, half as often, by displacing a later
 // arrival (EXPERIMENTS.md, "A sorted pool under a stated tie rule"). The
 // script replays with its times shifted past the previous pass.
 func BenchmarkTimedPool(b *testing.B) {
@@ -365,7 +365,7 @@ func BenchmarkTimedPool(b *testing.B) {
 	clock := uint64(1 << 20)
 	for i := range script {
 		step := 30
-		if i%256 < 26 {
+		if i%256 < 27 {
 			step = 1
 		}
 		clock += uint64(src.Intn(2*step + 1))
@@ -373,7 +373,7 @@ func BenchmarkTimedPool(b *testing.B) {
 		if src.Intn(8) == 0 {
 			hold = uint64(500 + src.Intn(600))
 		}
-		script[i] = call{at: clock - uint64(src.Intn(12)), hold: hold}
+		script[i] = call{at: clock - uint64(src.Intn(20)), hold: hold}
 	}
 	p := NewTimedPool(32)
 	var base uint64
