@@ -214,9 +214,9 @@ func TestTimedPoolResetStats(t *testing.T) {
 // call. Arrivals move back and forth over a sliding window on a coarse
 // grid, so full pools meet displacement candidates that tie on arrival and
 // stalls on occupations that complete together, and one window in eight
-// is degenerate. One call in eight completes at the done time of a tracked
-// claim that arrived later, so that a stall's tie can be broken against
-// the order in which the claims were occupied.
+// is degenerate. One call in eight, when the pool tracks a claim that
+// arrived later, completes at that claim's done time, so that a stall's
+// tie can be broken against the order in which the claims were occupied.
 func TestTimedPoolMatchesListModel(t *testing.T) {
 	for _, capacity := range []int{1, 2, 4, 8} {
 		for seed := uint64(1); seed <= 40; seed++ {
