@@ -101,9 +101,6 @@ func (e *Engine) Victim(set int, valid uint64) int {
 		return bits.TrailingZeros64(^valid & e.waysMask)
 	}
 	first := set * e.words
-	if e.rrpv[first]&MaxRRPV == MaxRRPV {
-		return 0 // way 0 distant, as under thrash: no scan
-	}
 	maxW, maxV := 0, uint64(0) // the lowest way at the highest value below 3
 	for i := 0; i < e.words; i++ {
 		x := e.rrpv[first+i]
