@@ -7,24 +7,36 @@ import "testing"
 // batching work in run.go is tuned against.
 
 // benchRun builds and runs the machine b.N times and reports Minstr/s over
-// every instruction its cores simulated: each core's warm-up, counted at
-// its target, and everything it retired after the warm-up boundary,
-// including the re-execution of apps that finish their window before the
-// slowest. perf's sim_minstr_per_s counts instructions the same way, so
-// the two read alike; construction, under 1% of a run, stays in the timer.
+// every instruction its cores retired: the whole warm-up, including what
+// cores that cross its target retire while the slowest catches up, and
+// everything after the warm-up boundary, including the re-execution of
+// apps that finish their window before the slowest. It runs Run's
+// detailed warm-up itself to read the cores' counts before the boundary
+// resets them; Run(0, measure) then continues exactly as Run(warmup,
+// measure) would. perf's sim_minstr_per_s counts the instructions its
+// generators drew, which adds only the ops still waiting in each core's
+// op ring. Construction, under 1% of a run, stays in the timer.
 func benchRun(b *testing.B, cfg Config, names []string) {
 	b.Helper()
 	const warmup, measure = 5_000, 50_000
-	var instr uint64
+	var instr, measured uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := NewFromNames(cfg, names)
-		s.Run(warmup, measure)
+		s.runUntilRetired(warmup, nil, nil)
 		for _, c := range s.cores {
-			instr += warmup + c.Retired()
+			instr += c.Retired()
+		}
+		res := s.Run(0, measure)
+		for j, c := range s.cores {
+			instr += c.Retired()
+			measured += res.Apps[j].Instructions
 		}
 	}
 	b.StopTimer()
+	if measured == 0 {
+		b.Fatal("no instructions measured")
+	}
 	b.ReportMetric(float64(instr)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
