@@ -349,14 +349,11 @@ func sameOccupations(a, b []occupation) bool {
 }
 
 // BenchmarkTimedPool drives one pool shaped like the simulator's LLC-side
-// and L2 pools: 32 entries, arrivals up to 19 cycles out of order around a
-// clock that moves 30 cycles per call on average, holds of 100 to 159
-// cycles with one in eight of 500 to 1,099, and a burst of 27 calls about
-// a cycle apart every 256. A Reserve then finds about nine claims tracked
-// and drains about one, and about one call in ninety meets a full pool,
-// which it resolves by stalling or, half as often, by displacing a later
-// arrival (EXPERIMENTS.md, "A sorted pool under a stated tie rule"). The
-// script replays with its times shifted past the previous pass.
+// and L2 pools: arrivals out of order around a moving clock, mixed hold
+// times and bursts, so that calls drain, now and then meet a full pool and
+// stall or displace a later arrival. EXPERIMENTS.md ("A sorted pool under
+// a stated tie rule") compares its counts with the simulator's. The script
+// replays with its times shifted past the previous pass.
 func BenchmarkTimedPool(b *testing.B) {
 	const calls = 1 << 12
 	type call struct{ at, hold uint64 }
