@@ -14,8 +14,8 @@ import "testing"
 // detailed warm-up itself to read the cores' counts before the boundary
 // resets them; Run(0, measure) then continues exactly as Run(warmup,
 // measure) would. perf's sim_minstr_per_s counts the instructions its
-// generators drew, which adds only the ops still waiting in each core's
-// op ring. Construction, under 1% of a run, stays in the timer.
+// generators drew, which adds only the ops each core has drawn and not
+// yet retired. Construction, under 1% of a run, stays in the timer.
 func benchRun(b *testing.B, cfg Config, names []string) {
 	b.Helper()
 	const warmup, measure = 5_000, 50_000
