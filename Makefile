@@ -77,26 +77,24 @@ bench:
 # its BENCH_paperfig_fig1_warm.json must read executed == 0 and
 # disk_hits == submitted > 0, or the target fails. Then come one-shot
 # benchmarks (-benchtime 1x: a smoke that the benches run, not a timing
-# claim; perf/ is the timed benchmark) kept as BENCH_*.txt:
-# BENCH_policy_victim.txt for the policy layer, BENCH_sim_substrate.txt
-# for the simulator — the balanced Mix16 and the substrate-bound streaming
-# Mix16 serial runs — BENCH_hotpath.txt for the balanced Mix16, victim
-# selection and the MSHR/write-back pool with -benchmem, BENCH_tracegen.txt for trace generation, and
-# BENCH_sampling.txt with the sampled-fidelity headline (speedup +
-# ipc-err-pct vs the detailed reference at paper-scale budgets) as custom
-# benchmark metrics.
+# claim; perf/ is the timed benchmark), each run once, kept as BENCH_*.txt:
+# BENCH_policy_victim.txt for the policy layer (victim selection and fill
+# churn), BENCH_sim_substrate.txt for the simulator — the balanced Mix16
+# and the substrate-bound streaming Mix16 serial runs — and
+# BENCH_hotpath.txt for the MSHR/write-back pool, all three with -benchmem;
+# BENCH_tracegen.txt for trace generation, and BENCH_sampling.txt with the
+# sampled-fidelity headline (speedup + ipc-err-pct vs the detailed
+# reference at paper-scale budgets) as custom benchmark metrics.
 bench-smoke: build
 	$(GO) run ./cmd/paperfig -fig 1 -tiny -stats -cache-dir .simcache -json BENCH_paperfig_fig1.json
 	$(GO) run ./cmd/paperfig -fig 6 -tiny -stats -cache-dir .simcache -json BENCH_paperfig_fig6.json
 	$(GO) run ./cmd/paperfig -fig 1 -tiny -stats -cache-dir .simcache -json BENCH_paperfig_fig1_warm.json
 	python3 -c "import json,sys; s=json.load(open(sys.argv[1]))['scheduler']; ok=s['executed'] == 0 and s['submitted'] > 0 and s['disk_hits'] == s['submitted']; sys.exit(0 if ok else 'bench-smoke: warm Figure 1 re-run was not served wholly from the store: %s' % s)" BENCH_paperfig_fig1_warm.json
-	$(GO) test -bench 'Victim|FillChurn' -benchtime 1x -run '^$$' ./internal/policy > BENCH_policy_victim.txt || { cat BENCH_policy_victim.txt; exit 1; }
+	$(GO) test -bench 'Victim|FillChurn' -benchmem -benchtime 1x -run '^$$' ./internal/policy > BENCH_policy_victim.txt || { cat BENCH_policy_victim.txt; exit 1; }
 	cat BENCH_policy_victim.txt
-	$(GO) test -bench 'RunMix16' -benchtime 1x -run '^$$' ./internal/sim > BENCH_sim_substrate.txt || { cat BENCH_sim_substrate.txt; exit 1; }
+	$(GO) test -bench 'RunMix16' -benchmem -benchtime 1x -run '^$$' ./internal/sim > BENCH_sim_substrate.txt || { cat BENCH_sim_substrate.txt; exit 1; }
 	cat BENCH_sim_substrate.txt
-	$(GO) test -bench 'RunMix16$$' -benchmem -benchtime 1x -run '^$$' ./internal/sim > BENCH_hotpath.txt || { cat BENCH_hotpath.txt; exit 1; }
-	$(GO) test -bench 'Victim$$|VictimDistant$$|VictimAllWays$$' -benchmem -benchtime 1x -run '^$$' ./internal/policy >> BENCH_hotpath.txt || { cat BENCH_hotpath.txt; exit 1; }
-	$(GO) test -bench 'TimedPool$$' -benchmem -benchtime 1x -run '^$$' ./internal/cache >> BENCH_hotpath.txt || { cat BENCH_hotpath.txt; exit 1; }
+	$(GO) test -bench 'TimedPool$$' -benchmem -benchtime 1x -run '^$$' ./internal/cache > BENCH_hotpath.txt || { cat BENCH_hotpath.txt; exit 1; }
 	cat BENCH_hotpath.txt
 	$(GO) test -bench 'BenchmarkNext' -benchmem -benchtime 200000x -run '^$$' ./internal/trace > BENCH_tracegen.txt || { cat BENCH_tracegen.txt; exit 1; }
 	cat BENCH_tracegen.txt
@@ -116,7 +114,7 @@ serve-smoke: build
 # just as time.
 allocs-gate:
 	$(GO) test -run 'TestMeasuredLoopAllocFree|TestConstructionAllocs' -count=1 -v ./internal/sim
-	$(GO) test -bench 'Victim$$|VictimDistant$$|VictimAllWays$$' -benchmem -benchtime 1x -run '^$$' ./internal/policy
+	$(GO) test -bench 'Victim$$|VictimAllWays$$' -benchmem -benchtime 1x -run '^$$' ./internal/policy
 	$(GO) test -bench 'RunMix16$$' -benchmem -benchtime 1x -run '^$$' ./internal/sim
 
 # Quick-fidelity regeneration of everything (minutes).

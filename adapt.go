@@ -160,20 +160,21 @@ func RunSolo(cfg Config, name string, warmup, measure uint64) (AppResult, error)
 	return res.Apps[0], nil
 }
 
-// ClusterConfig parameterises the LFOC-style fairness clustering layer —
-// the second policy axis, orthogonal to the LLC insertion policy: an online
-// classifier groups applications into streaming / light-sharing /
-// cache-sensitive clusters and partitions the LLC ways between them (see
-// Config.Cluster and internal/cluster).
+// ClusterConfig switches on the LFOC-style fairness clustering layer and
+// sets its epoch length — the second policy axis, orthogonal to the LLC
+// insertion policy: an online classifier groups applications into
+// streaming / light-sharing / cache-sensitive clusters and partitions the
+// LLC ways between them. Its thresholds and way quotas are constants of
+// internal/cluster (see Config.Cluster).
 type ClusterConfig = cluster.Config
 
 // ModeLFOC is the ClusterConfig.Mode value that enables the clustering
 // layer; the zero mode leaves it off.
 const ModeLFOC = cluster.ModeLFOC
 
-// WithClustering returns cfg with the LFOC clustering layer enabled at its
-// default thresholds and way quotas. Any LLC policy works: the cache itself
-// confines each core's fills to its way partition.
+// WithClustering returns cfg with the LFOC clustering layer enabled at the
+// default epoch length. Any LLC policy works: the cache itself confines
+// each core's fills to its way partition.
 func WithClustering(cfg Config) Config {
 	cfg.Cluster.Mode = ModeLFOC
 	return cfg

@@ -38,10 +38,6 @@ type TimedPool struct {
 	capacity int
 	occs     []occupation // sorted by (done, arrival), ascending
 	pending  int          // Reserves awaiting their Occupy
-
-	// Stats.
-	reservations uint64
-	stallCycles  uint64
 }
 
 // occupation is one busy entry: claimed by a request that arrived at
@@ -95,7 +91,6 @@ func (p *TimedPool) BusyAt(t uint64) int {
 //     caller is delayed until the earliest one drains, taking the entry of
 //     the earliest-arriving occupation done then (the stall tie rule).
 func (p *TimedPool) Reserve(now uint64) uint64 {
-	p.reservations++
 	p.pending++
 	// Drain occupations that have completed by now: a prefix.
 	n := 0
@@ -122,7 +117,6 @@ func (p *TimedPool) Reserve(now uint64) uint64 {
 	}
 	earliest := p.occs[0].done
 	p.removeAt(0)
-	p.stallCycles += earliest - now
 	return earliest
 }
 
@@ -150,19 +144,6 @@ func (p *TimedPool) Occupy(arrivedAt, until uint64) {
 		p.occs[i] = p.occs[i-1]
 	}
 	p.occs[i] = o
-}
-
-// StallCycles returns the cumulative cycles callers were delayed waiting for
-// a free entry.
-func (p *TimedPool) StallCycles() uint64 { return p.stallCycles }
-
-// Reservations returns how many Reserve calls were made.
-func (p *TimedPool) Reservations() uint64 { return p.reservations }
-
-// ResetStats clears the stall/reservation counters but keeps in-flight state.
-func (p *TimedPool) ResetStats() {
-	p.stallCycles = 0
-	p.reservations = 0
 }
 
 // removeAt removes the occupation at index i, keeping the others' order.

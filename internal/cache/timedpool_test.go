@@ -31,9 +31,6 @@ func TestTimedPoolFullDelaysToEarliest(t *testing.T) {
 		t.Fatalf("Reserve on full pool returned %d, want 50", start)
 	}
 	p.Occupy(10, 90)
-	if p.StallCycles() != 40 {
-		t.Fatalf("stall cycles = %d, want 40", p.StallCycles())
-	}
 }
 
 func TestTimedPoolExpiredEntryNoDelay(t *testing.T) {
@@ -43,9 +40,6 @@ func TestTimedPoolExpiredEntryNoDelay(t *testing.T) {
 	// At t=10 the single entry has drained; no delay.
 	if start := p.Reserve(10); start != 10 {
 		t.Fatalf("Reserve after drain returned %d, want 10", start)
-	}
-	if p.StallCycles() != 0 {
-		t.Fatal("no stall should be recorded for drained entries")
 	}
 }
 
@@ -59,10 +53,7 @@ func TestTimedPoolOutOfOrderArrivalNotStalledByFutureClaims(t *testing.T) {
 	p.Occupy(1000, 1200) // claimed by a request arriving at t=1000
 	// A request arriving at t=5 precedes that claim: FCFS serves it at 5.
 	if start := p.Reserve(5); start != 5 {
-		t.Fatalf("earlier request served at %d, want 5", start)
-	}
-	if p.StallCycles() != 0 {
-		t.Fatalf("earlier request charged %d stall cycles for a future claim", p.StallCycles())
+		t.Fatalf("earlier request served at %d, want 5: stalled by a future claim", start)
 	}
 	p.Occupy(5, 100)
 	// A request at t=1100 queues behind the [5,100) claim? No — that drained
@@ -189,32 +180,14 @@ func TestTimedPoolHeapProperty(t *testing.T) {
 	}
 }
 
-func TestTimedPoolResetStats(t *testing.T) {
-	p := NewTimedPool(1)
-	p.Reserve(0)
-	p.Occupy(0, 100)
-	p.Reserve(0) // stalls 100
-	p.Occupy(0, 200)
-	if p.StallCycles() == 0 || p.Reservations() != 2 {
-		t.Fatal("expected recorded stalls and reservations")
-	}
-	p.ResetStats()
-	if p.StallCycles() != 0 || p.Reservations() != 0 {
-		t.Fatal("ResetStats did not clear counters")
-	}
-	if p.InFlight() != 1 {
-		t.Fatal("ResetStats must not drop in-flight entries")
-	}
-}
-
 // TestTimedPoolMatchesListModel drives the pool and listPool, a brute-force
 // model of its rules over an unordered list, with the same random calls at
 // capacities 1, 2, 4 and 8, and compares Reserve's answer, the occupations
-// it leaves, StallCycles, InFlight and BusyAt at random times after every
-// call. Arrivals move back and forth over a sliding window on a coarse
-// grid, so full pools meet displacement candidates that tie on arrival and
-// stalls on occupations that complete together, and one window in eight
-// is degenerate. One call in eight, when the pool tracks a claim that
+// it leaves, InFlight and BusyAt at random times after every call.
+// Arrivals move back and forth over a sliding window on a coarse grid, so
+// full pools meet displacement candidates that tie on arrival and stalls
+// on occupations that complete together, and one window in eight is
+// degenerate. One call in eight, when the pool tracks a claim that
 // arrived later, completes at that claim's done time, so that a stall's
 // tie can be broken against the order in which the claims were occupied.
 func TestTimedPoolMatchesListModel(t *testing.T) {
@@ -224,9 +197,9 @@ func TestTimedPoolMatchesListModel(t *testing.T) {
 			src := rng.New(seed*0x9E3779B97F4A7C15 + uint64(capacity))
 			clock := uint64(64)
 			check := func(step int, call string) {
-				if p.StallCycles() != ref.stallCycles || p.InFlight() != len(ref.occs) {
-					t.Fatalf("cap %d seed %d step %d, after %s: stall %d, in flight %d; model %d, %d",
-						capacity, seed, step, call, p.StallCycles(), p.InFlight(), ref.stallCycles, len(ref.occs))
+				if p.InFlight() != len(ref.occs) {
+					t.Fatalf("cap %d seed %d step %d, after %s: %d in flight, model %d",
+						capacity, seed, step, call, p.InFlight(), len(ref.occs))
 				}
 				if !sameOccupations(ref.occs, p.occs) {
 					t.Fatalf("cap %d seed %d step %d, after %s: pool holds %v, model %v",
@@ -278,9 +251,8 @@ func TestTimedPoolMatchesListModel(t *testing.T) {
 // tie), and otherwise the request stalls until the earliest done and takes
 // the entry of the earliest-arriving occupation done then.
 type listPool struct {
-	capacity    int
-	occs        []occupation
-	stallCycles uint64
+	capacity int
+	occs     []occupation
 }
 
 func (m *listPool) busyAt(t uint64) int {
@@ -318,7 +290,6 @@ func (m *listPool) reserve(now uint64) uint64 {
 	start := now
 	if victim < 0 {
 		victim, start = first, m.occs[first].done
-		m.stallCycles += start - now
 	}
 	m.occs = append(m.occs[:victim], m.occs[victim+1:]...)
 	return start

@@ -36,7 +36,7 @@
 //   - An app whose share of the epoch's LLC traffic is below LightShare is
 //     Light — it barely touches the LLC and loses nothing in a small
 //     partition — unless the tail of its arbiter-wait distribution (share of
-//     requests waiting >= TailWaitCycles) exceeds VictimTailShare: a scarce
+//     requests waiting >= TailWaitCycles) reaches VictimTailShare: a scarce
 //     but latency-bound app is a contention *victim* (the LFOC+ refinement)
 //     and keeps the protected Sensitive partition.
 //   - An app whose epoch miss ratio is at least StreamMissRatio and whose
@@ -63,27 +63,27 @@ import (
 // built, no masks are ever set).
 const ModeLFOC = "lfoc"
 
-// Classifier defaults; every Config field of the same name treats zero as
-// "use the default" so the zero Config is the paper-faithful configuration.
+// The classifier's thresholds and way quotas: one LFOC-style setting, the
+// one every experiment runs.
 const (
-	// DefaultStreamingWays is the streaming cluster's way quota.
-	DefaultStreamingWays = 2
-	// DefaultLightWays is the light-sharing cluster's way quota.
-	DefaultLightWays = 1
-	// DefaultStreamMissRatio is the epoch miss-ratio threshold at or above
-	// which an app is a streaming candidate.
-	DefaultStreamMissRatio = 0.60
-	// DefaultStreamSeqFrac is the sequential-stride fraction threshold that
+	// StreamingWays is the streaming cluster's way quota.
+	StreamingWays = 2
+	// LightWays is the light-sharing cluster's way quota.
+	LightWays = 1
+	// StreamMissRatio is the epoch miss-ratio threshold at or above which
+	// an app is a streaming candidate.
+	StreamMissRatio = 0.60
+	// StreamSeqFrac is the sequential-stride fraction threshold that
 	// confirms a streaming candidate.
-	DefaultStreamSeqFrac = 0.35
-	// DefaultLightShare is the traffic share below which an app is Light.
-	DefaultLightShare = 0.02
-	// DefaultVictimTailShare is the wait-tail share at or above which a
+	StreamSeqFrac = 0.35
+	// LightShare is the traffic share below which an app is Light.
+	LightShare = 0.02
+	// VictimTailShare is the wait-tail share at or above which a
 	// low-traffic app is kept Sensitive instead of demoted to Light.
-	DefaultVictimTailShare = 0.50
-	// DefaultTailWaitCycles is the queueing delay from which a request
-	// counts into the wait tail.
-	DefaultTailWaitCycles = 64
+	VictimTailShare = 0.50
+	// TailWaitCycles is the queueing delay from which a request counts
+	// into the wait tail.
+	TailWaitCycles = 64
 	// DefaultEpochBlocksFactor sizes the default epoch: EpochAccesses =
 	// factor x LLC blocks, so epochs scale with the cache exactly like the
 	// benchmark working sets and ADAPT's monitoring interval do.
@@ -129,25 +129,14 @@ func (c Class) String() string {
 // Config parameterises the clustering manager. It is embedded in sim.Config
 // and participates in the config fingerprint: two runs differing in any
 // field here are different simulations. The zero value (Mode == "")
-// disables clustering; Mode == ModeLFOC with all other fields zero selects
-// every default above.
+// disables clustering; Mode == ModeLFOC with a zero EpochAccesses selects
+// the default epoch.
 type Config struct {
 	// Mode selects the clustering policy: "" = off, ModeLFOC = on.
 	Mode string
 	// EpochAccesses is the number of global LLC demand accesses between
 	// reclassifications (0 = DefaultEpochBlocksFactor x LLC blocks).
 	EpochAccesses uint64
-	// StreamingWays / LightWays are the cluster way quotas (0 = defaults).
-	StreamingWays int
-	LightWays     int
-	// StreamMissRatio / StreamSeqFrac / LightShare / VictimTailShare are
-	// the classifier thresholds (0 = defaults above).
-	StreamMissRatio float64
-	StreamSeqFrac   float64
-	LightShare      float64
-	VictimTailShare float64
-	// TailWaitCycles is the wait-tail boundary in cycles (0 = default).
-	TailWaitCycles uint64
 }
 
 // Enabled reports whether clustering is switched on.
@@ -165,57 +154,11 @@ func (c Config) Validate(llcWays int) error {
 	if llcWays > 64 {
 		return fmt.Errorf("cluster: way masks support at most 64 ways, LLC has %d", llcWays)
 	}
-	r := c.resolve(0)
-	if r.StreamingWays < 1 || r.LightWays < 1 {
-		return fmt.Errorf("cluster: way quotas must be positive (streaming %d, light %d)",
-			r.StreamingWays, r.LightWays)
-	}
-	if r.StreamingWays+r.LightWays >= llcWays {
+	if StreamingWays+LightWays >= llcWays {
 		return fmt.Errorf("cluster: streaming (%d) + light (%d) quotas leave no sensitive ways on a %d-way LLC",
-			r.StreamingWays, r.LightWays, llcWays)
-	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"StreamMissRatio", r.StreamMissRatio}, {"StreamSeqFrac", r.StreamSeqFrac},
-		{"LightShare", r.LightShare}, {"VictimTailShare", r.VictimTailShare},
-	} {
-		if f.v < 0 || f.v > 1 {
-			return fmt.Errorf("cluster: %s must be in [0, 1], got %g", f.name, f.v)
-		}
+			StreamingWays, LightWays, llcWays)
 	}
 	return nil
-}
-
-// resolve substitutes defaults for zero fields. blocks is the LLC block
-// count (sets x ways) that sizes the default epoch.
-func (c Config) resolve(blocks int) Config {
-	if c.EpochAccesses == 0 {
-		c.EpochAccesses = DefaultEpochBlocksFactor * uint64(blocks)
-	}
-	if c.StreamingWays == 0 {
-		c.StreamingWays = DefaultStreamingWays
-	}
-	if c.LightWays == 0 {
-		c.LightWays = DefaultLightWays
-	}
-	if c.StreamMissRatio == 0 {
-		c.StreamMissRatio = DefaultStreamMissRatio
-	}
-	if c.StreamSeqFrac == 0 {
-		c.StreamSeqFrac = DefaultStreamSeqFrac
-	}
-	if c.LightShare == 0 {
-		c.LightShare = DefaultLightShare
-	}
-	if c.VictimTailShare == 0 {
-		c.VictimTailShare = DefaultVictimTailShare
-	}
-	if c.TailWaitCycles == 0 {
-		c.TailWaitCycles = DefaultTailWaitCycles
-	}
-	return c
 }
 
 // profile is one application's epoch counters. Everything here is written
@@ -236,7 +179,7 @@ type profile struct {
 // demand access), in the global event order, and is not safe for
 // concurrent use.
 type Manager struct {
-	cfg   Config
+	epoch uint64 // demand accesses per epoch: EpochAccesses or its default
 	cores int
 	ways  int
 	full  uint64 // mask with every way set
@@ -257,9 +200,12 @@ func New(cfg Config, g cache.Geometry, apply func(core int, mask uint64)) *Manag
 	if err := cfg.Validate(g.Ways); err != nil {
 		panic(err)
 	}
-	r := cfg.resolve(g.Blocks())
+	epoch := cfg.EpochAccesses
+	if epoch == 0 {
+		epoch = DefaultEpochBlocksFactor * uint64(g.Blocks())
+	}
 	return &Manager{
-		cfg:     r,
+		epoch:   epoch,
 		cores:   g.Cores,
 		ways:    g.Ways,
 		full:    (uint64(1) << g.Ways) - 1,
@@ -287,11 +233,11 @@ func (m *Manager) Observe(core int, block uint64, miss bool, wait uint64) {
 		}
 	}
 	p.last, p.hasLast = block, true
-	if wait >= m.cfg.TailWaitCycles {
+	if wait >= TailWaitCycles {
 		p.tail++
 	}
 	m.seen++
-	if m.seen >= m.cfg.EpochAccesses {
+	if m.seen >= m.epoch {
 		m.reclassify()
 		m.seen = 0
 	}
@@ -305,7 +251,7 @@ func (m *Manager) reclassify() {
 	total := m.seen
 	for i := range m.prof {
 		p := &m.prof[i]
-		m.classes[i] = classify(p, total, m.cfg)
+		m.classes[i] = classify(p, total)
 		p.accesses, p.misses, p.seq, p.tail = 0, 0, 0, 0
 	}
 	m.assignMasks()
@@ -317,20 +263,20 @@ func (m *Manager) reclassify() {
 }
 
 // classify is the per-app decision rule documented in the package comment.
-func classify(p *profile, total uint64, cfg Config) Class {
+func classify(p *profile, total uint64) Class {
 	if p.accesses == 0 {
 		return Light
 	}
 	share := float64(p.accesses) / float64(total)
-	if share < cfg.LightShare {
-		if float64(p.tail)/float64(p.accesses) >= cfg.VictimTailShare {
+	if share < LightShare {
+		if float64(p.tail)/float64(p.accesses) >= VictimTailShare {
 			return Sensitive // LFOC+ victim protection
 		}
 		return Light
 	}
 	missRatio := float64(p.misses) / float64(p.accesses)
 	seqFrac := float64(p.seq) / float64(p.accesses)
-	if missRatio >= cfg.StreamMissRatio && seqFrac >= cfg.StreamSeqFrac {
+	if missRatio >= StreamMissRatio && seqFrac >= StreamSeqFrac {
 		return Streaming
 	}
 	return Sensitive
@@ -357,10 +303,10 @@ func (m *Manager) assignMasks() {
 	}
 	sw, lw := 0, 0
 	if nStream > 0 {
-		sw = m.cfg.StreamingWays
+		sw = StreamingWays
 	}
 	if nLight > 0 {
-		lw = m.cfg.LightWays
+		lw = LightWays
 	}
 	senW := m.ways - sw - lw
 	if nSens == 0 {

@@ -35,19 +35,17 @@ func TestValidate(t *testing.T) {
 	if err := testConfig(0).Validate(16); err != nil {
 		t.Fatalf("default LFOC config must validate on 16 ways: %v", err)
 	}
-	bad := []Config{
-		{Mode: "nonsense"},
-		{Mode: ModeLFOC, StreamingWays: 8, LightWays: 8}, // no sensitive ways left
-		{Mode: ModeLFOC, StreamMissRatio: 1.5},           // out of [0,1]
-		{Mode: ModeLFOC, StreamingWays: -1},              // negative quota
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(16); err == nil {
-			t.Errorf("bad config %d validated", i)
-		}
+	if err := (Config{Mode: "nonsense"}).Validate(16); err == nil {
+		t.Error("unknown mode validated")
 	}
 	if err := testConfig(0).Validate(128); err == nil {
 		t.Error(">64-way LLC must be rejected (mask width)")
+	}
+	if err := testConfig(0).Validate(StreamingWays + LightWays); err == nil {
+		t.Error("an LLC the streaming and light quotas fill must be rejected (no sensitive way)")
+	}
+	if err := testConfig(0).Validate(StreamingWays + LightWays + 1); err != nil {
+		t.Errorf("an LLC with one sensitive way must validate: %v", err)
 	}
 }
 
@@ -108,7 +106,7 @@ func TestLightAndVictimGuard(t *testing.T) {
 		want Class
 	}{
 		{"light", 0, Light},
-		{"victim", DefaultTailWaitCycles, Sensitive},
+		{"victim", TailWaitCycles, Sensitive},
 	} {
 		m := New(testConfig(epoch), testGeom(2), nil)
 		var n0 uint64
@@ -175,13 +173,13 @@ func checkPartition(t *testing.T, m *Manager, ways int) {
 		}
 	}
 	if mask, ok := byClass[Streaming]; ok && len(byClass) == 3 {
-		if got := bits.OnesCount64(mask); got != DefaultStreamingWays {
-			t.Fatalf("streaming quota %d ways, want %d", got, DefaultStreamingWays)
+		if got := bits.OnesCount64(mask); got != StreamingWays {
+			t.Fatalf("streaming quota %d ways, want %d", got, StreamingWays)
 		}
 	}
 	if mask, ok := byClass[Light]; ok && len(byClass) == 3 {
-		if got := bits.OnesCount64(mask); got != DefaultLightWays {
-			t.Fatalf("light quota %d ways, want %d", got, DefaultLightWays)
+		if got := bits.OnesCount64(mask); got != LightWays {
+			t.Fatalf("light quota %d ways, want %d", got, LightWays)
 		}
 	}
 }

@@ -32,9 +32,8 @@ type Config struct {
 	// do. ROADMAP.md's first open item ("ADAPT must actually adapt at the
 	// fidelities the harnesses run") lists it as a candidate fix.
 	GlobalInterval bool
-	// MonitoredSets and ArrayEntries size the Sampler (40 and 16 if zero).
+	// MonitoredSets is the Sampler's monitored set count (40 if zero).
 	MonitoredSets int
-	ArrayEntries  int
 	// Ranges are the priority-bucket boundaries (Table 1 if zero).
 	Ranges policy.Ranges
 	// Bypass selects ADAPT_bp32 (true) or ADAPT_ins (false).
@@ -53,9 +52,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MonitoredSets == 0 {
 		c.MonitoredSets = DefaultMonitoredSets
-	}
-	if c.ArrayEntries == 0 {
-		c.ArrayEntries = DefaultArrayEntries
 	}
 	if c.Ranges.IsZero() {
 		c.Ranges = policy.DefaultRanges()
@@ -97,7 +93,6 @@ func NewADAPT(cfg Config) *ADAPT {
 			Sets:          g.Sets,
 			Cores:         g.Cores,
 			MonitoredSets: cfg.MonitoredSets,
-			ArrayEntries:  cfg.ArrayEntries,
 			Seed:          cfg.Seed,
 		}),
 		buckets:      make([]Bucket, g.Cores),
@@ -277,7 +272,6 @@ func configFromOptions(g cache.Geometry, opt policy.Options, bypass, global bool
 		IntervalMisses: opt.AdaptIntervalMisses,
 		GlobalInterval: global,
 		MonitoredSets:  opt.AdaptMonitoredSets,
-		ArrayEntries:   opt.AdaptArrayEntries,
 		Ranges:         opt.AdaptRanges,
 		Bypass:         bypass,
 		Seed:           opt.Seed,

@@ -34,9 +34,9 @@ const (
 	// application sampler ("we observe that sampling 40 sets are
 	// sufficient").
 	DefaultMonitoredSets = 40
-	// DefaultArrayEntries is the per-monitored-set partial-tag array size
-	// ("In our study, we use only 16-entry array").
-	DefaultArrayEntries = 16
+	// ArrayEntries is the per-monitored-set partial-tag array size ("In our
+	// study, we use only 16-entry array").
+	ArrayEntries = 16
 	// PartialTagBits is the number of tag bits stored per entry ("Only the
 	// most significant 10 bits are stored per cache block").
 	PartialTagBits = 10

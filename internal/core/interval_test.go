@@ -91,7 +91,7 @@ func TestPerAppIntervalCountsAreIndependent(t *testing.T) {
 }
 
 func TestResetCoreIsolation(t *testing.T) {
-	s := NewSampler(SamplerConfig{Sets: 64, Cores: 2, MonitoredSets: 64, ArrayEntries: 16, Seed: 1})
+	s := NewSampler(SamplerConfig{Sets: 64, Cores: 2, MonitoredSets: 64, Seed: 1})
 	for b := uint64(0); b < 256; b++ {
 		s.Observe(0, int(b%64), b)
 		s.Observe(1, int(b%64), b)

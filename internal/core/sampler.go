@@ -13,11 +13,9 @@ type SamplerConfig struct {
 	// Cores is the number of applications to monitor.
 	Cores int
 	// MonitoredSets is how many main-cache sets are sampled
-	// (DefaultMonitoredSets if zero).
+	// (DefaultMonitoredSets if zero), each through an ArrayEntries-entry
+	// array.
 	MonitoredSets int
-	// ArrayEntries is the per-monitored-set array size (DefaultArrayEntries
-	// if zero).
-	ArrayEntries int
 	// Seed selects which sets are monitored.
 	Seed uint64
 }
@@ -28,9 +26,6 @@ func (c SamplerConfig) withDefaults() SamplerConfig {
 	}
 	if c.MonitoredSets > c.Sets {
 		c.MonitoredSets = c.Sets
-	}
-	if c.ArrayEntries == 0 {
-		c.ArrayEntries = DefaultArrayEntries
 	}
 	return c
 }
@@ -83,7 +78,7 @@ func NewSampler(cfg SamplerConfig) *Sampler {
 	for row, s := range monitored {
 		rowOf[s] = int16(row)
 	}
-	slots := cfg.Cores * cfg.MonitoredSets * cfg.ArrayEntries
+	slots := cfg.Cores * cfg.MonitoredSets * ArrayEntries
 	return &Sampler{
 		cfg:      cfg,
 		setShift: uint(bits.TrailingZeros(uint(cfg.Sets))),
@@ -123,7 +118,7 @@ func (s *Sampler) Observe(core int, set int, block uint64) bool {
 		return false
 	}
 	s.observed[core]++
-	e := s.cfg.ArrayEntries
+	const e = ArrayEntries
 	base := (core*s.cfg.MonitoredSets + int(row)) * e
 	tag := s.partialTag(block)
 
@@ -210,7 +205,7 @@ func (s *Sampler) ResetInterval() {
 // ResetCore clears one application's arrays and counters (per-application
 // interval mode).
 func (s *Sampler) ResetCore(core int) {
-	e := s.cfg.ArrayEntries
+	const e = ArrayEntries
 	base := core * s.cfg.MonitoredSets * e
 	for i := base; i < base+s.cfg.MonitoredSets*e; i++ {
 		s.valid[i] = false
@@ -227,11 +222,10 @@ func (s *Sampler) ResetCore(core int) {
 // ArrayEntries × (PartialTagBits + 2 bookkeeping bits) + 8 bits of head/tail
 // pointers + a unique counter; plus per-application Footprint-number and
 // priority bytes and three probabilistic-insertion counters.
-func StorageBitsPerApp(monitoredSets, arrayEntries int) int {
-	perSet := arrayEntries*(PartialTagBits+2) + 8 // 16*12+8 = 200 bits
+func StorageBitsPerApp(monitoredSets int) int {
+	perSet := ArrayEntries*(PartialTagBits+2) + 8 // 16*12+8 = 200 bits
 	perSet += 4                                   // unique counter (counts to 16: 4 bits, paper rounds into 204)
-	// The paper states 204 bits per set; with the defaults the formula above
-	// yields exactly that.
+	// The paper states 204 bits per set, as the formula above yields.
 	total := perSet * monitoredSets
 	total += 2 * 8 // Footprint-number + priority (1 byte each)
 	total += 3 * 8 // three probabilistic insertion counters

@@ -5,8 +5,8 @@ import (
 	"testing/quick"
 )
 
-func samplerCfg(sets, cores, monitored, entries int) SamplerConfig {
-	return SamplerConfig{Sets: sets, Cores: cores, MonitoredSets: monitored, ArrayEntries: entries, Seed: 42}
+func samplerCfg(sets, cores, monitored int) SamplerConfig {
+	return SamplerConfig{Sets: sets, Cores: cores, MonitoredSets: monitored, Seed: 42}
 }
 
 func TestSamplerDefaults(t *testing.T) {
@@ -15,16 +15,13 @@ func TestSamplerDefaults(t *testing.T) {
 	if cfg.MonitoredSets != DefaultMonitoredSets {
 		t.Fatalf("monitored sets = %d, want %d", cfg.MonitoredSets, DefaultMonitoredSets)
 	}
-	if cfg.ArrayEntries != DefaultArrayEntries {
-		t.Fatalf("array entries = %d, want %d", cfg.ArrayEntries, DefaultArrayEntries)
-	}
 	if len(s.MonitoredSets()) != DefaultMonitoredSets {
 		t.Fatalf("%d monitored sets sampled", len(s.MonitoredSets()))
 	}
 }
 
 func TestSamplerMonitoredMembership(t *testing.T) {
-	s := NewSampler(samplerCfg(1024, 2, 40, 16))
+	s := NewSampler(samplerCfg(1024, 2, 40))
 	n := 0
 	for set := 0; set < 1024; set++ {
 		if s.Monitored(set) {
@@ -42,7 +39,7 @@ func TestSamplerMonitoredMembership(t *testing.T) {
 }
 
 func TestSamplerCountsUniqueAccesses(t *testing.T) {
-	s := NewSampler(samplerCfg(64, 1, 64, 16)) // monitor everything
+	s := NewSampler(samplerCfg(64, 1, 64)) // monitor everything
 	set := 5
 	// 4 distinct blocks mapping to set 5, re-accessed repeatedly.
 	blocks := []uint64{5, 5 + 64, 5 + 128, 5 + 192}
@@ -61,7 +58,7 @@ func TestSamplerCountsUniqueAccesses(t *testing.T) {
 func TestSamplerAverageAcrossSets(t *testing.T) {
 	// The paper's Figure 2b example: arrays with 3, 2, 3, 3 unique entries
 	// over 4 monitored sets give Footprint-number (3+2+3+3)/4 = 2.75.
-	s := NewSampler(samplerCfg(4, 1, 4, 16))
+	s := NewSampler(samplerCfg(4, 1, 4))
 	uniques := [][]uint64{
 		{0, 4, 8},  // set 0: 3 unique block addresses
 		{1, 5},     // set 1: 2
@@ -79,7 +76,7 @@ func TestSamplerAverageAcrossSets(t *testing.T) {
 }
 
 func TestSamplerIgnoresUnmonitoredSets(t *testing.T) {
-	s := NewSampler(samplerCfg(1024, 1, 8, 16))
+	s := NewSampler(samplerCfg(1024, 1, 8))
 	for set := 0; set < 1024; set++ {
 		if !s.Monitored(set) {
 			if s.Observe(0, set, uint64(set)) {
@@ -96,7 +93,7 @@ func TestSamplerIgnoresUnmonitoredSets(t *testing.T) {
 }
 
 func TestSamplerPerCoreIsolation(t *testing.T) {
-	s := NewSampler(samplerCfg(64, 2, 64, 16))
+	s := NewSampler(samplerCfg(64, 2, 64))
 	for b := uint64(0); b < 64*8; b++ {
 		s.Observe(0, int(b%64), b)
 	}
@@ -109,7 +106,7 @@ func TestSamplerPerCoreIsolation(t *testing.T) {
 }
 
 func TestSamplerHitDoesNotRecount(t *testing.T) {
-	s := NewSampler(samplerCfg(16, 1, 16, 16))
+	s := NewSampler(samplerCfg(16, 1, 16))
 	if !s.Observe(0, 3, 3) {
 		t.Fatal("first access should be unique")
 	}
@@ -125,7 +122,7 @@ func TestSamplerThrashingOvercounts(t *testing.T) {
 	// every access misses the array after it fills, so the unique counter
 	// grows beyond 16 — exactly the saturating behaviour that pushes
 	// thrashing applications into the Least bucket.
-	s := NewSampler(samplerCfg(16, 1, 16, 16))
+	s := NewSampler(samplerCfg(16, 1, 16))
 	for round := 0; round < 4; round++ {
 		for b := uint64(0); b < 32; b++ {
 			s.Observe(0, 0, b*16) // all map to set 0, distinct partial tags
@@ -139,7 +136,7 @@ func TestSamplerThrashingOvercounts(t *testing.T) {
 }
 
 func TestSamplerFootprintCap(t *testing.T) {
-	s := NewSampler(samplerCfg(1, 1, 1, 16))
+	s := NewSampler(samplerCfg(1, 1, 1))
 	// Hammer one monitored set with thousands of unique blocks: the
 	// reported per-set contribution must cap at FootprintCap (32).
 	for b := uint64(0); b < 10000; b++ {
@@ -151,7 +148,7 @@ func TestSamplerFootprintCap(t *testing.T) {
 }
 
 func TestSamplerResetInterval(t *testing.T) {
-	s := NewSampler(samplerCfg(16, 1, 16, 16))
+	s := NewSampler(samplerCfg(16, 1, 16))
 	for b := uint64(0); b < 64; b++ {
 		s.Observe(0, int(b%16), b)
 	}
@@ -172,15 +169,15 @@ func TestSamplerResetInterval(t *testing.T) {
 }
 
 func TestSamplerDeterministicSetSelection(t *testing.T) {
-	a := NewSampler(samplerCfg(4096, 1, 40, 16))
-	b := NewSampler(samplerCfg(4096, 1, 40, 16))
+	a := NewSampler(samplerCfg(4096, 1, 40))
+	b := NewSampler(samplerCfg(4096, 1, 40))
 	sa, sb := a.MonitoredSets(), b.MonitoredSets()
 	for i := range sa {
 		if sa[i] != sb[i] {
 			t.Fatal("same seed produced different monitored sets")
 		}
 	}
-	c := NewSampler(SamplerConfig{Sets: 4096, Cores: 1, MonitoredSets: 40, ArrayEntries: 16, Seed: 99})
+	c := NewSampler(SamplerConfig{Sets: 4096, Cores: 1, MonitoredSets: 40, Seed: 99})
 	diff := false
 	for i, v := range c.MonitoredSets() {
 		if v != sa[i] {
@@ -194,7 +191,7 @@ func TestSamplerDeterministicSetSelection(t *testing.T) {
 }
 
 func TestSamplerPartialTagWidth(t *testing.T) {
-	s := NewSampler(samplerCfg(1024, 1, 40, 16))
+	s := NewSampler(samplerCfg(1024, 1, 40))
 	f := func(block uint64) bool {
 		return s.partialTag(block) < 1<<PartialTagBits
 	}
@@ -206,7 +203,7 @@ func TestSamplerPartialTagWidth(t *testing.T) {
 func TestSamplerPartialTagCollisionCounting(t *testing.T) {
 	// Two blocks in the same set whose partial tags collide are counted as
 	// one unique access — the documented approximation cost of 10-bit tags.
-	s := NewSampler(samplerCfg(16, 1, 16, 16))
+	s := NewSampler(samplerCfg(16, 1, 16))
 	b1 := uint64(0)             // set 0, partial tag 0
 	b2 := uint64(1 << (10 + 4)) // set 0, full tag 1<<10 -> partial tag 0 (collision)
 	if s.partialTag(b1) != s.partialTag(b2) {
@@ -220,7 +217,7 @@ func TestSamplerPartialTagCollisionCounting(t *testing.T) {
 
 func TestSamplerMoreMonitoredThanSets(t *testing.T) {
 	// Config asks for 40 monitored sets of an 8-set cache: clamp to 8.
-	s := NewSampler(SamplerConfig{Sets: 8, Cores: 1, MonitoredSets: 40, ArrayEntries: 4, Seed: 1})
+	s := NewSampler(SamplerConfig{Sets: 8, Cores: 1, MonitoredSets: 40, Seed: 1})
 	if got := s.Config().MonitoredSets; got != 8 {
 		t.Fatalf("monitored sets = %d, want clamped 8", got)
 	}
@@ -245,7 +242,7 @@ func TestSamplerPanicsOnBadConfig(t *testing.T) {
 
 func TestStorageBitsPerApp(t *testing.T) {
 	// Paper §3.3: 204 bits/set x 40 sets + 40 bits = 8200 bits ~ 1KB/app.
-	bits := StorageBitsPerApp(DefaultMonitoredSets, DefaultArrayEntries)
+	bits := StorageBitsPerApp(DefaultMonitoredSets)
 	if bits != 8200 {
 		t.Fatalf("storage = %d bits, want the paper's 8200", bits)
 	}

@@ -64,7 +64,7 @@ const DefaultTraceBatch = 64
 // Config sizes a core.
 type Config struct {
 	ID             int
-	Width          int // retire width (4)
+	Width          int // retire width, a power of two (4)
 	ROB            int // reorder-buffer window in instructions (128)
 	MaxOutstanding int // simultaneous incomplete loads (L1 MSHRs; 8)
 }
@@ -74,6 +74,9 @@ func (c Config) Validate() error {
 	if c.Width <= 0 || c.ROB <= 0 || c.MaxOutstanding <= 0 {
 		return fmt.Errorf("cpu: width (%d), ROB (%d) and MaxOutstanding (%d) must be positive",
 			c.Width, c.ROB, c.MaxOutstanding)
+	}
+	if c.Width&(c.Width-1) != 0 {
+		return fmt.Errorf("cpu: width %d is not a power of two", c.Width)
 	}
 	return nil
 }
@@ -86,16 +89,14 @@ type inflight struct {
 
 // Core is one simulated core. Not safe for concurrent use.
 type Core struct {
-	cfg Config
 	gen trace.Generator
 	mem MemSystem
 
-	// Retirement-width fast path: when Width is a power of two the clock
-	// advance divides by shift/mask instead of hardware division (the
-	// hottest arithmetic in the whole simulator).
+	// The power-of-two Width as a shift and a mask, so the clock advance
+	// divides without hardware division (the hottest arithmetic in the
+	// whole simulator).
 	widthShift uint
 	widthMask  uint64
-	widthPow2  bool
 
 	clock   uint64
 	retired uint64
@@ -111,8 +112,7 @@ type Core struct {
 	loadHead  int
 	loadCount int
 
-	// Hot copies of Config fields read every Step, hoisted so the loop
-	// doesn't re-load and re-convert them through c.cfg.
+	// The other Config fields read every Step, in the types the step uses.
 	id     int
 	rob    uint64
 	maxOut int
@@ -129,10 +129,6 @@ type Core struct {
 	// construction so refills pay no per-batch type assertion; nil means
 	// the scalar fallback loop.
 	genBatch trace.BatchGenerator
-
-	// Stats.
-	memAccesses uint64
-	stallCycles uint64
 }
 
 // New builds a core bound to a trace generator and a memory system.
@@ -145,23 +141,19 @@ func New(cfg Config, gen trace.Generator, mem MemSystem) *Core {
 	}
 	ringLen := 1 << bits.Len(uint(cfg.MaxOutstanding-1)) // next power of two
 	c := &Core{
-		cfg:      cfg,
-		gen:      gen,
-		mem:      mem,
-		loads:    make([]inflight, ringLen),
-		loadMask: ringLen - 1,
-		id:       cfg.ID,
-		rob:      uint64(cfg.ROB),
-		maxOut:   cfg.MaxOutstanding,
-		ops:      make([]trace.Op, DefaultTraceBatch),
-		opNext:   DefaultTraceBatch, // empty: first Step refills
+		gen:        gen,
+		mem:        mem,
+		widthShift: uint(bits.TrailingZeros(uint(cfg.Width))),
+		widthMask:  uint64(cfg.Width - 1),
+		loads:      make([]inflight, ringLen),
+		loadMask:   ringLen - 1,
+		id:         cfg.ID,
+		rob:        uint64(cfg.ROB),
+		maxOut:     cfg.MaxOutstanding,
+		ops:        make([]trace.Op, DefaultTraceBatch),
+		opNext:     DefaultTraceBatch, // empty: first Step refills
 	}
 	c.genBatch, _ = gen.(trace.BatchGenerator)
-	if w := uint64(cfg.Width); w&(w-1) == 0 {
-		c.widthPow2 = true
-		c.widthShift = uint(bits.TrailingZeros64(w))
-		c.widthMask = w - 1
-	}
 	return c
 }
 
@@ -186,23 +178,12 @@ func (c *Core) Clock() uint64 { return c.clock }
 // Retired returns the number of retired instructions.
 func (c *Core) Retired() uint64 { return c.retired }
 
-// MemAccesses returns the number of memory references issued.
-func (c *Core) MemAccesses() uint64 { return c.memAccesses }
-
-// StallCycles returns cycles lost to window/MSHR stalls.
-func (c *Core) StallCycles() uint64 { return c.stallCycles }
-
 // advance retires n non-memory instructions at the pipeline width.
 func (c *Core) advance(n uint64) {
 	c.retired += n
 	c.slack += n
-	if c.widthPow2 {
-		c.clock += c.slack >> c.widthShift
-		c.slack &= c.widthMask
-	} else {
-		c.clock += c.slack / uint64(c.cfg.Width)
-		c.slack %= uint64(c.cfg.Width)
-	}
+	c.clock += c.slack >> c.widthShift
+	c.slack &= c.widthMask
 }
 
 // drainOldest stalls the core until its oldest load completes.
@@ -212,7 +193,6 @@ func (c *Core) drainOldest() {
 	}
 	oldest := c.popLoad()
 	if oldest.done > c.clock {
-		c.stallCycles += oldest.done - c.clock
 		c.clock = oldest.done
 	}
 }
@@ -248,8 +228,8 @@ func (c *Core) Step() uint64 { return c.step(false, 0) }
 
 // step is Step, and also the step of an op whose reference a Prober has
 // already performed (probed): that reference completes latency cycles after
-// it issues and does not go to mem. Everything else, the gap, the stalls,
-// the access count and the load's place in the window, is the same.
+// it issues and does not go to mem. Everything else, the gap, the stalls
+// and the load's place in the window, is the same.
 func (c *Core) step(probed bool, latency uint64) uint64 {
 	if c.opNext == len(c.ops) {
 		c.refill()
@@ -272,7 +252,6 @@ func (c *Core) step(probed bool, latency uint64) uint64 {
 	if !probed {
 		done = c.mem.Access(c.id, c.clock, op.Addr, op.Write, op.PC)
 	}
-	c.memAccesses++
 	if !op.Write {
 		c.pushLoad(inflight{instr: c.retired, done: done})
 	}
@@ -385,7 +364,6 @@ func (c *Core) RunFunctional(retireAt uint64, mem FunctionalMem) {
 		op := &c.ops[c.opNext]
 		c.opNext++
 		c.retired += uint64(op.Gap) + 1
-		c.memAccesses++
 		mem.FunctionalAccess(op.Addr, op.Write, op.PC)
 	}
 }
@@ -401,25 +379,14 @@ func (c *Core) Drain() uint64 {
 	return c.clock
 }
 
-// ResetStats zeroes instruction/cycle counters while keeping
+// ResetStats zeroes the retired-instruction count while keeping
 // microarchitectural state (in-flight loads, generator position). Used at
 // the warm-up boundary. The clock keeps running; callers snapshot it.
 // In-flight loads are rebased to instruction index 0 so the ROB-window
 // arithmetic stays valid across the reset.
 func (c *Core) ResetStats() {
 	c.retired = 0
-	c.memAccesses = 0
-	c.stallCycles = 0
 	for i := range c.loads {
 		c.loads[i].instr = 0
 	}
-}
-
-// IPC returns instructions per cycle relative to a starting cycle snapshot.
-func (c *Core) IPC(sinceCycle uint64) float64 {
-	cycles := c.clock - sinceCycle
-	if cycles == 0 {
-		return 0
-	}
-	return float64(c.retired) / float64(cycles)
 }

@@ -39,6 +39,7 @@ func TestConfigValidate(t *testing.T) {
 		{Width: 0, ROB: 128, MaxOutstanding: 8},
 		{Width: 4, ROB: 0, MaxOutstanding: 8},
 		{Width: 4, ROB: 128, MaxOutstanding: 0},
+		{Width: 3, ROB: 128, MaxOutstanding: 8}, // not a power of two
 	} {
 		if err := c.Validate(); err == nil {
 			t.Errorf("invalid config accepted: %+v", c)
@@ -59,9 +60,6 @@ func TestNonMemThroughputIsWidth(t *testing.T) {
 	}
 	if c.Clock() != 10000 {
 		t.Fatalf("clock = %d, want 10000 (width-4 retirement)", c.Clock())
-	}
-	if ipc := c.IPC(0); ipc != 4 {
-		t.Fatalf("IPC = %v, want 4", ipc)
 	}
 }
 
@@ -91,9 +89,6 @@ func TestMSHRLimitStalls(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		c.Step()
 	}
-	if c.StallCycles() == 0 {
-		t.Fatal("MSHR-limited load did not stall")
-	}
 	// Issue time of the 9th access >= completion of the 1st (~100).
 	if mem.calls[8] < 100 {
 		t.Fatalf("9th access issued at %d, want >= 100", mem.calls[8])
@@ -114,9 +109,6 @@ func TestROBWindowStalls(t *testing.T) {
 	c.Step() // load issued at ~0
 	c.Step() // window: 127 instructions past the load — fits (ROB 128)
 	c.Step() // would exceed the window: stall until the load returns
-	if c.StallCycles() == 0 {
-		t.Fatal("ROB window never stalled behind a long-latency load")
-	}
 	if c.Clock() < 1000 {
 		t.Fatalf("clock = %d, want >= 1000 (stalled to load completion)", c.Clock())
 	}
@@ -142,12 +134,9 @@ func TestStoresDoNotBlock(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.Step()
 	}
-	if c.StallCycles() != 0 {
-		t.Fatalf("stores stalled the core for %d cycles", c.StallCycles())
-	}
-	// 100 instructions at width 4 = 25 cycles.
+	// 100 instructions at width 4 = 25 cycles: no stall.
 	if c.Clock() != 25 {
-		t.Fatalf("clock = %d, want 25", c.Clock())
+		t.Fatalf("clock = %d, want 25: stores stalled the core", c.Clock())
 	}
 }
 
@@ -174,8 +163,8 @@ func TestResetStatsKeepsClock(t *testing.T) {
 	}
 	snap := c.Clock()
 	c.ResetStats()
-	if c.Retired() != 0 || c.MemAccesses() != 0 {
-		t.Fatal("ResetStats left counters")
+	if c.Retired() != 0 {
+		t.Fatal("ResetStats left the retired count")
 	}
 	if c.Clock() != snap {
 		t.Fatal("ResetStats must not move the clock")
@@ -183,7 +172,7 @@ func TestResetStatsKeepsClock(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Step()
 	}
-	if ipc := c.IPC(snap); ipc < 3.5 || ipc > 4.0 {
+	if ipc := float64(c.Retired()) / float64(c.Clock()-snap); ipc < 3.5 || ipc > 4.0 {
 		t.Fatalf("post-warmup IPC = %v, want ~4", ipc)
 	}
 }
@@ -320,11 +309,10 @@ func TestRunFunctionalSameOpStream(t *testing.T) {
 	}
 	fc.Drain()
 
+	// Every op retires at least one instruction, so equal counts on one op
+	// stream mean the same number of ops.
 	if fc.Retired() != dc.Retired() {
 		t.Fatalf("retired diverged: functional+detailed %d vs detailed %d", fc.Retired(), dc.Retired())
-	}
-	if fc.MemAccesses() != dc.MemAccesses() {
-		t.Fatalf("mem accesses diverged: %d vs %d", fc.MemAccesses(), dc.MemAccesses())
 	}
 	n := len(fm.addrs)
 	if len(dm.addrs) < n {
@@ -425,7 +413,7 @@ func TestRunAheadStopRules(t *testing.T) {
 			mem := &probeMem{private: map[uint64]bool{1: true}, accessLat: 1, probeLat: 1}
 			c := storeCore(tc.id, mem, tc.addrs...)
 			clock := c.RunAhead(tc.limit, true, tc.maxSteps, tc.retireAt, tc.horizon, tc.yieldAtHorizon, mem)
-			steps := int(c.MemAccesses())
+			steps := int(c.Retired() / 4) // each op retires 4
 			if steps != tc.wantSteps || mem.probes != tc.wantAhead {
 				t.Fatalf("ran %d steps, %d of them ahead; want %d and %d", steps, mem.probes, tc.wantSteps, tc.wantAhead)
 			}
@@ -433,9 +421,8 @@ func TestRunAheadStopRules(t *testing.T) {
 				t.Fatalf("%d Access calls for %d steps and %d performed probes: a probed step went to Access, or a probe's step did not run",
 					mem.calls, steps, mem.probes)
 			}
-			if clock != uint64(tc.wantSteps) || c.Retired() != 4*uint64(tc.wantSteps) {
-				t.Fatalf("clock %d and retired %d after %d steps, want %d and %d",
-					clock, c.Retired(), steps, tc.wantSteps, 4*tc.wantSteps)
+			if clock != uint64(tc.wantSteps) {
+				t.Fatalf("clock %d after %d steps, want %d", clock, steps, tc.wantSteps)
 			}
 		})
 	}

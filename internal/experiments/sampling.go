@@ -137,7 +137,7 @@ func (s SamplingResult) Table() Table {
 		Title: "Sampling validation — sampled vs detailed per-app IPC (4-core)",
 		Note: fmt.Sprintf(
 			"windows=%d detail=%d warm=%d quantum=%d (0 = budget-derived); mean |IPC err| %.2f%%, worst %.2f%%, mean CV %.3f",
-			s.Sample.Windows, s.Sample.DetailInstr, s.Sample.WarmInstr, s.Sample.QuantumCycles,
+			s.Sample.Windows, s.Sample.DetailInstr, s.Sample.WarmInstr, sim.SampleQuantum,
 			s.MeanErrPct, s.WorstErrPct, s.MeanCV),
 		Header: []string{"mix", "app", "detailed IPC", "sampled IPC", "±95% CI", "CV", "|err|%", "LLC MPKI err%"},
 	}

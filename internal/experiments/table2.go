@@ -57,7 +57,7 @@ func Table2() []StorageRow {
 	})
 
 	// ADAPT: the paper's §3.3 accounting — 8200 bits per application.
-	perApp := core.StorageBitsPerApp(core.DefaultMonitoredSets, core.DefaultArrayEntries)
+	perApp := core.StorageBitsPerApp(core.DefaultMonitoredSets)
 	rows = append(rows, StorageRow{
 		Policy:    "ADAPT",
 		PerApp:    fmt.Sprintf("%d bits (~1KB)", perApp),

@@ -75,12 +75,10 @@ func measureOne(opt Options, spec bench.Spec) Table4Row {
 	cfg := opt.soloConfig()
 
 	all := core.NewSampler(core.SamplerConfig{
-		Sets: cfg.LLCSets, Cores: 1, MonitoredSets: cfg.LLCSets,
-		ArrayEntries: core.DefaultArrayEntries, Seed: opt.Seed,
+		Sets: cfg.LLCSets, Cores: 1, MonitoredSets: cfg.LLCSets, Seed: opt.Seed,
 	})
 	samp := core.NewSampler(core.SamplerConfig{
-		Sets: cfg.LLCSets, Cores: 1, MonitoredSets: core.DefaultMonitoredSets,
-		ArrayEntries: core.DefaultArrayEntries, Seed: opt.Seed,
+		Sets: cfg.LLCSets, Cores: 1, MonitoredSets: core.DefaultMonitoredSets, Seed: opt.Seed,
 	})
 	sys := sim.NewFromNames(cfg, []string{spec.Name})
 	sys.ObserveLLC(func(_, set int, block uint64) {

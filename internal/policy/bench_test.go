@@ -36,25 +36,6 @@ func BenchmarkVictim(b *testing.B) {
 	}
 }
 
-// BenchmarkVictimDistant is the thrash-heavy variant: refills land at
-// MaxRRPV, so a distant-value victim is always available and aging is rare —
-// the fast path BRRIP/EAF/ADAPT bypass-mode traffic takes.
-func BenchmarkVictimDistant(b *testing.B) {
-	e := cache.NewEngine(benchGeom)
-	for set := 0; set < benchGeom.Sets; set++ {
-		for way := 0; way < benchGeom.Ways; way++ {
-			e.SetRRPV(set, way, MaxRRPV)
-		}
-	}
-	mask, full := benchGeom.Sets-1, uint64(1)<<benchGeom.Ways-1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		set := i & mask
-		w := e.Victim(set, full)
-		e.SetRRPV(set, w, MaxRRPV)
-	}
-}
-
 // BenchmarkFillChurn drives a full policy through the LLC's miss path —
 // OnMiss, FillDecision, OnEvict, OnFill, with a sprinkling of OnHit — using
 // a deterministic multi-core access pattern on a full cache, measuring the

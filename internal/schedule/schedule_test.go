@@ -61,7 +61,7 @@ func TestJobKeyGolden(t *testing.T) {
 		"lbm", "STRM", "libq", "milc", "calc", "mcf", "art", "gcc",
 	}
 	j := testJob(42, names...)
-	const want = "8deedb90ef60b970391d2d2c09b95d7fcbef867bd953b23889718462987c494e"
+	const want = "b4dc5e7f2788fb08a6889d2ffcce127736be800f92e803389674c5762fc79666"
 	if got := j.Key(); got != want {
 		t.Fatalf("Job.Key drifted:\n  got  %s\n  want %s", got, want)
 	}

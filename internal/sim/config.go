@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/arbiter"
 	"repro/internal/cluster"
+	"repro/internal/cpu"
 	"repro/internal/mem"
 	"repro/internal/policy"
 )
@@ -131,12 +132,13 @@ func (c Config) Validate() error {
 		{"LLCSets", c.LLCSets}, {"LLCWays", c.LLCWays},
 		{"L2MSHRs", c.L2MSHRs}, {"LLCMSHRs", c.LLCMSHRs},
 		{"L2WBEntries", c.L2WBEntries}, {"LLCWBEntries", c.LLCWBEntries},
-		{"CPUWidth", c.CPUWidth}, {"CPUROB", c.CPUROB},
-		{"CPUMaxOutstanding", c.CPUMaxOutstanding},
 	} {
 		if p.v <= 0 {
 			return fmt.Errorf("sim: %s must be positive", p.name)
 		}
+	}
+	if err := (cpu.Config{Width: c.CPUWidth, ROB: c.CPUROB, MaxOutstanding: c.CPUMaxOutstanding}).Validate(); err != nil {
+		return err
 	}
 	if c.LLCPolicy == "" || c.L2Policy == "" {
 		return fmt.Errorf("sim: cache policies must be named")

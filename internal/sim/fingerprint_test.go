@@ -51,7 +51,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 // field (tagged `fingerprint:"-"`) must leave this digest — and with it
 // every stored result — valid.
 func TestConfigFingerprintGolden(t *testing.T) {
-	const want = "028ad1b752f28c09194d13590907e41876d3787a9fd945afcf8d8c7421248c13"
+	const want = "b65d5fe3685f257dced1964f34c23354bc64062e19a272ed06b7113fa1f821fd"
 	if got := DefaultConfig(16).Fingerprint(); got != want {
 		t.Fatalf("DefaultConfig(16) fingerprint drifted:\n  got  %s\n  want %s", got, want)
 	}

@@ -327,7 +327,7 @@ func (s *System) Run(warmup, measure uint64) Result {
 		for i := 0; i < n; i++ {
 			rates.observe(i, pilotI[i], pilotC[i])
 		}
-		s.runFunctionalUntil(warmup, p.quantum, rates)
+		s.runFunctionalUntil(warmup, rates)
 	default:
 		s.runUntilRetired(warmup, nil, nil)
 	}
@@ -366,7 +366,7 @@ func (s *System) Run(warmup, measure uint64) Result {
 		// below freezes each core's end point at its own crossing. In the
 		// one-window plan both targets are 0 right after the warm-up reset,
 		// so neither call runs anything.
-		s.runFunctionalUntil(gapTarget, p.quantum, rates)
+		s.runFunctionalUntil(gapTarget, rates)
 		s.runUntilRetired(warmTarget, startC, startI)
 		for i := 0; i < n; i++ {
 			accA[i] = llcStats.DemandAccesses[i]

@@ -2,18 +2,18 @@ package sim
 
 import "fmt"
 
-// DefaultSampleQuantum is the functional-warming virtual-cycle quantum when
-// SampleConfig.QuantumCycles is zero. Each round-robin pass advances every
-// core by its estimated retirement rate times this many virtual cycles, so
-// the quantum sets the granularity at which the cores' access streams
-// interleave in the shared LLC during functional gaps. Small quanta track
+// SampleQuantum is the functional-warming virtual-cycle quantum. Each
+// round-robin pass advances every core by its estimated retirement rate
+// times this many virtual cycles, so the quantum sets the granularity at
+// which the cores' access streams interleave in the shared LLC during
+// functional gaps. Small quanta track
 // the fine-grained interleaving of detailed timing (a core's reuse window
 // sees foreign insertions in realistic proportion); large quanta let each
 // core stream long private bursts, which flatters its conflict misses.
 // The quantum is *visible* in results (it changes the order in which cores
-// touch shared cache and policy state), so it participates in the
-// fingerprint and is fixed by default.
-const DefaultSampleQuantum = 256
+// touch shared cache and policy state), so changing it moves every sampled
+// golden and needs a KeySchema bump.
+const SampleQuantum = 256
 
 // DefaultSampleWindows is the window count SampleConfig.Default uses: enough
 // windows for a meaningful coefficient of variation, few enough that the
@@ -50,11 +50,6 @@ type SampleConfig struct {
 	// functional gap and must re-converge under full timing before
 	// measurement). Zero derives DetailInstr/2.
 	WarmInstr uint64
-
-	// QuantumCycles is the functional round-robin quantum in virtual cycles
-	// (0 = DefaultSampleQuantum). Deterministic and fingerprinted; see
-	// DefaultSampleQuantum.
-	QuantumCycles uint64
 }
 
 // Enabled reports whether sampled fidelity is selected.
@@ -85,7 +80,6 @@ type samplePlan struct {
 	measure uint64
 	detail  uint64
 	warm    uint64
-	quantum uint64
 }
 
 // plan resolves the window layout for a measured budget. With sampling off
@@ -117,10 +111,6 @@ func (sc SampleConfig) plan(measure uint64) samplePlan {
 	if p.detail+p.warm > period {
 		panic(fmt.Sprintf("sim: sampled window does not fit its period: detail %d + warm %d > %d (= %d measured / %d windows)",
 			p.detail, p.warm, period, measure, sc.Windows))
-	}
-	p.quantum = sc.QuantumCycles
-	if p.quantum == 0 {
-		p.quantum = DefaultSampleQuantum
 	}
 	return p
 }
@@ -201,20 +191,20 @@ func (r *sampleRates) observe(i int, di, dc uint64) {
 // runFunctionalUntil retires instructions on every core up to target
 // (cumulative per-core retired count) in functional-warming mode: a
 // virtual-time round-robin. Each pass advances a shared virtual clock by
-// quantum cycles and runs core i for
-// rates.instr[i]·quantum/rates.cycles[i] instructions (with remainder
+// SampleQuantum cycles and runs core i for
+// rates.instr[i]·SampleQuantum/rates.cycles[i] instructions (with remainder
 // carry), so cores interleave in the shared LLC in proportion to their
 // measured retirement rates — the same mix detailed timing would produce —
-// at quantum-cycle granularity.
+// at quantum granularity.
 //
-// The schedule is a pure integer function of (target, quantum, rates), and
+// The schedule is a pure integer function of (target, rates), and
 // the rates are themselves measured from detailed spans that are already
 // bit-identical across execution knobs — no clocks, no trace-delivery
 // batching — so every shared-state update (LLC policy metadata, SHCT/PSEL
 // counters, cluster epochs) happens in the same global order whether the
 // cores refill through NextBatch or scalar Next, and whatever the
 // event-loop batch cap.
-func (s *System) runFunctionalUntil(target, quantum uint64, rates *sampleRates) {
+func (s *System) runFunctionalUntil(target uint64, rates *sampleRates) {
 	for {
 		done := true
 		for i, c := range s.cores {
@@ -223,7 +213,7 @@ func (s *System) runFunctionalUntil(target, quantum uint64, rates *sampleRates) 
 				continue
 			}
 			done = false
-			num := rates.instr[i]*quantum + rates.rem[i]
+			num := rates.instr[i]*SampleQuantum + rates.rem[i]
 			run := num / rates.cycles[i]
 			rates.rem[i] = num % rates.cycles[i]
 			if run == 0 {
