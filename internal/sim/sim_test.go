@@ -54,6 +54,11 @@ func TestScalePreservesAssociativityAndLatency(t *testing.T) {
 }
 
 func TestNewValidatesInputs(t *testing.T) {
+	cfg := quickConfig(1)
+	cfg.CPUWidth = 3
+	if err := cfg.Validate(); err == nil {
+		t.Error("a core width that is not a power of two validated")
+	}
 	func() {
 		defer func() {
 			if recover() == nil {
