@@ -6,13 +6,13 @@ import "fmt"
 // round-robin pass advances every core by its estimated retirement rate
 // times this many virtual cycles, so the quantum sets the granularity at
 // which the cores' access streams interleave in the shared LLC during
-// functional gaps. Small quanta track
-// the fine-grained interleaving of detailed timing (a core's reuse window
-// sees foreign insertions in realistic proportion); large quanta let each
-// core stream long private bursts, which flatters its conflict misses.
-// The quantum is *visible* in results (it changes the order in which cores
-// touch shared cache and policy state), so changing it moves every sampled
-// golden and needs a KeySchema bump.
+// functional gaps. Small quanta track the fine-grained interleaving of
+// detailed timing (a core's reuse window sees foreign insertions in
+// realistic proportion); large quanta let each core stream long private
+// bursts, which flatters its conflict misses. The quantum is *visible* in
+// results (it changes the order in which cores touch shared cache and
+// policy state), so changing it moves every sampled golden and needs a
+// KeySchema bump.
 const SampleQuantum = 256
 
 // DefaultSampleWindows is the window count SampleConfig.Default uses: enough
