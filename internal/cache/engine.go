@@ -12,7 +12,9 @@ const MaxRRPV = 3
 // re-reference prediction values per line, hit promotion to 0, and victim
 // selection by searching for MaxRRPV with aging. Policies embed it and
 // differ only in the insertion value they choose per fill. The ADAPT policy
-// in internal/core builds on it too, which is why it is exported.
+// in internal/core builds on it too, and so does ADAPT's footprint monitor
+// (core.Sampler), whose 16-entry arrays are the sets of an engine of their
+// own; that is why it is exported.
 //
 // The engine lives in this package (rather than internal/policy, where the
 // policies that embed it are defined) so that the cache's per-access fast

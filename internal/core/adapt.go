@@ -29,8 +29,7 @@ type Config struct {
 	// "sizing of this interval is critical" discussion warns.
 	// `paperfig -ablation interval` (AblationInterval) sweeps the interval
 	// of the default scheme only; no harness runs this one, only tests
-	// do. ROADMAP.md's first open item ("ADAPT must actually adapt at the
-	// fidelities the harnesses run") lists it as a candidate fix.
+	// do. ROADMAP.md's open item "Measure warm caches" decides its fate.
 	GlobalInterval bool
 	// MonitoredSets is the Sampler's monitored set count (40 if zero).
 	MonitoredSets int
@@ -217,24 +216,20 @@ func (a *ADAPT) OnFill(ac *cache.Access, set, way int) {
 		a.SetRRPV(set, way, policy.NonDemandRRPV(ac))
 		return
 	}
-	var v uint8
-	switch a.buckets[ac.Core] {
-	case BucketHigh:
-		v = 0
+	// The bucket's value but for the 1/16 MP<->LP swaps. A Least-priority
+	// fill goes in distant: under ADAPT_ins every one, under ADAPT_bp32
+	// only the 1-in-32 that FillDecision admitted.
+	b := a.buckets[ac.Core]
+	v := b.InsertionRRPV()
+	switch b {
 	case BucketMedium:
-		v = 1
 		if a.mpEps[ac.Core].Fire() {
-			v = 2 // 1/16th insertion at LP
+			v = BucketLow.InsertionRRPV() // 1/16th insertion at LP
 		}
 	case BucketLow:
-		v = 2
 		if a.lpEps[ac.Core].Fire() {
-			v = 1 // 1/16th at MP
+			v = BucketMedium.InsertionRRPV() // 1/16th at MP
 		}
-	case BucketLeast:
-		// ADAPT_ins installs everything distant; ADAPT_bp32 reaches here
-		// only for the 1-in-32 fill that FillDecision admitted.
-		v = 3
 	}
 	a.SetRRPV(set, way, v)
 }
@@ -257,7 +252,7 @@ func init() {
 	})
 	// The paper-literal global-interval variants (see
 	// Config.GlobalInterval). No harness runs them, only tests do;
-	// ROADMAP.md's first open item lists adapt-global as a candidate fix.
+	// ROADMAP.md's open item "Measure warm caches" decides their fate.
 	policy.Register("adapt-global", func(g cache.Geometry, opt policy.Options) cache.ReplacementPolicy {
 		return NewADAPT(configFromOptions(g, opt, true, true))
 	})

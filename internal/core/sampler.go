@@ -3,6 +3,7 @@ package core
 import (
 	"math/bits"
 
+	"repro/internal/cache"
 	"repro/internal/rng"
 )
 
@@ -42,6 +43,10 @@ func (c SamplerConfig) withDefaults() SamplerConfig {
 // recency. At the end of each interval the per-set counters are averaged
 // into the application's Footprint-number and everything is cleared.
 //
+// The SRRIP state is a cache.Engine with one set per (application,
+// monitored set) row and ArrayEntries ways, so the arrays age and pick
+// victims exactly as the RRIP policies do.
+//
 // The monitor is entirely off the critical path: it never touches the main
 // cache's state.
 type Sampler struct {
@@ -50,11 +55,13 @@ type Sampler struct {
 	rowOf    []int16 // main-cache set -> monitored row, or -1
 	sets     []int   // the monitored set indices (ascending)
 
-	// Per (core, row, entry) arrays, flattened.
-	tags  []uint16
-	rrpv  []uint8
-	valid []bool
-	// Per (core, row) unique-access counters.
+	// Per (core, row, entry) partial tags, flattened.
+	tags []uint16
+	// The entries' SRRIP state, one engine set per (core, row).
+	rrip cache.Engine
+	// Per (core, row): the valid entries (bit i = entry i) and the
+	// unique-access counter.
+	valid []uint64
 	count []uint16
 
 	observed []uint64 // per core: observed demand accesses this interval
@@ -78,16 +85,16 @@ func NewSampler(cfg SamplerConfig) *Sampler {
 	for row, s := range monitored {
 		rowOf[s] = int16(row)
 	}
-	slots := cfg.Cores * cfg.MonitoredSets * ArrayEntries
+	rows := cfg.Cores * cfg.MonitoredSets
 	return &Sampler{
 		cfg:      cfg,
 		setShift: uint(bits.TrailingZeros(uint(cfg.Sets))),
 		rowOf:    rowOf,
 		sets:     monitored,
-		tags:     make([]uint16, slots),
-		rrpv:     make([]uint8, slots),
-		valid:    make([]bool, slots),
-		count:    make([]uint16, cfg.Cores*cfg.MonitoredSets),
+		tags:     make([]uint16, rows*ArrayEntries),
+		rrip:     cache.NewEngine(cache.Geometry{Sets: rows, Ways: ArrayEntries}),
+		valid:    make([]uint64, rows),
+		count:    make([]uint16, rows),
 		observed: make([]uint64, cfg.Cores),
 	}
 }
@@ -118,47 +125,26 @@ func (s *Sampler) Observe(core int, set int, block uint64) bool {
 		return false
 	}
 	s.observed[core]++
-	const e = ArrayEntries
-	base := (core*s.cfg.MonitoredSets + int(row)) * e
+	r := core*s.cfg.MonitoredSets + int(row)
+	tags := s.tags[r*ArrayEntries : (r+1)*ArrayEntries]
 	tag := s.partialTag(block)
 
 	// Search.
-	for i := 0; i < e; i++ {
-		if s.valid[base+i] && s.tags[base+i] == tag {
-			s.rrpv[base+i] = 0 // hit: recency bits set to 0
+	valid := s.valid[r]
+	for i, t := range tags {
+		if valid>>uint(i)&1 != 0 && t == tag {
+			s.rrip.Promote(r, i) // hit: recency bits set to 0
 			return false
 		}
 	}
 
 	// Unique access: install with SRRIP and count it.
-	victim := -1
-	for i := 0; i < e; i++ {
-		if !s.valid[base+i] {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		for victim < 0 {
-			for i := 0; i < e; i++ {
-				if s.rrpv[base+i] == 3 {
-					victim = i
-					break
-				}
-			}
-			if victim < 0 {
-				for i := 0; i < e; i++ {
-					s.rrpv[base+i]++
-				}
-			}
-		}
-	}
-	s.tags[base+victim] = tag
-	s.rrpv[base+victim] = 2 // SRRIP insertion
-	s.valid[base+victim] = true
-	ci := core*s.cfg.MonitoredSets + int(row)
-	if s.count[ci] < 1<<15 {
-		s.count[ci]++
+	victim := s.rrip.Victim(r, valid)
+	tags[victim] = tag
+	s.rrip.SetRRPV(r, victim, cache.MaxRRPV-1) // SRRIP insertion
+	s.valid[r] = valid | 1<<uint(victim)
+	if s.count[r] < 1<<15 {
+		s.count[r]++
 	}
 	return true
 }
@@ -191,27 +177,17 @@ func (s *Sampler) Observed(core int) uint64 { return s.observed[core] }
 
 // ResetInterval clears all arrays and counters for the next interval.
 func (s *Sampler) ResetInterval() {
-	for i := range s.valid {
-		s.valid[i] = false
-	}
-	for i := range s.count {
-		s.count[i] = 0
-	}
-	for i := range s.observed {
-		s.observed[i] = 0
-	}
+	clear(s.valid)
+	clear(s.count)
+	clear(s.observed)
 }
 
 // ResetCore clears one application's arrays and counters (per-application
 // interval mode).
 func (s *Sampler) ResetCore(core int) {
-	const e = ArrayEntries
-	base := core * s.cfg.MonitoredSets * e
-	for i := base; i < base+s.cfg.MonitoredSets*e; i++ {
-		s.valid[i] = false
-	}
-	cbase := core * s.cfg.MonitoredSets
-	for i := cbase; i < cbase+s.cfg.MonitoredSets; i++ {
+	base := core * s.cfg.MonitoredSets
+	for i := base; i < base+s.cfg.MonitoredSets; i++ {
+		s.valid[i] = 0
 		s.count[i] = 0
 	}
 	s.observed[core] = 0

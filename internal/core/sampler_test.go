@@ -135,6 +135,40 @@ func TestSamplerThrashingOvercounts(t *testing.T) {
 	}
 }
 
+// TestSamplerArrayEvictionOrder pins a full array's SRRIP order: a unique
+// tag displaces the lowest-indexed entry still at the insertion value once
+// the entries re-accessed since their fill have been promoted.
+func TestSamplerArrayEvictionOrder(t *testing.T) {
+	s := NewSampler(samplerCfg(16, 1, 16))
+	tag := func(i int) uint64 { return uint64(i) * 16 } // set 0, partial tag i
+	for i := 0; i < ArrayEntries; i++ {
+		if !s.Observe(0, 0, tag(i)) {
+			t.Fatalf("tag %d not unique on its first access", i)
+		}
+	}
+	for i := 0; i < ArrayEntries; i += 2 {
+		if s.Observe(0, 0, tag(i)) {
+			t.Fatalf("tag %d counted twice", i)
+		}
+	}
+	if !s.Observe(0, 0, tag(ArrayEntries)) {
+		t.Fatal("17th tag not unique")
+	}
+	// The 17th tag displaced entry 1, the lowest left at RRPV 2, so tag 1
+	// is unique again; installing it displaces entry 3, the next one.
+	if !s.Observe(0, 0, tag(1)) {
+		t.Fatal("tag 1 still held: the 17th tag displaced another entry")
+	}
+	for _, i := range []int{0, 2, 4, 6, 8, 10, 12, 14, 5, 7, 9, 11, 13, 15, ArrayEntries} {
+		if s.Observe(0, 0, tag(i)) {
+			t.Errorf("tag %d was displaced", i)
+		}
+	}
+	if !s.Observe(0, 0, tag(3)) {
+		t.Fatal("tag 3 still held: tag 1 displaced another entry")
+	}
+}
+
 func TestSamplerFootprintCap(t *testing.T) {
 	s := NewSampler(samplerCfg(1, 1, 1))
 	// Hammer one monitored set with thousands of unique blocks: the

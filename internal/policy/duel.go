@@ -1,11 +1,8 @@
 package policy
 
-import (
-	"repro/internal/cache"
-	"repro/internal/rng"
-)
+import "repro/internal/rng"
 
-// Set-dueling machinery shared by DRRIP and TA-DRRIP.
+// Set-dueling machinery of TA-DRRIP and of DRRIP, its one-selector case.
 //
 // A small number of "leader" sets is dedicated to each competing insertion
 // policy; a saturating PSEL counter tallies their demand misses (misses in
@@ -128,75 +125,3 @@ func (p *psel) brripMiss() {
 // preferBRRIP reports whether followers should use BRRIP (SRRIP has been
 // missing more).
 func (p *psel) preferBRRIP() bool { return p.value >= p.threshold }
-
-// DRRIP duels SRRIP against BRRIP with a single global PSEL. Table 3 uses
-// DRRIP at the private L2s, where a single selector per cache is exactly the
-// original proposal.
-type DRRIP struct {
-	cache.Engine
-	duel *duelMap
-	sel  psel
-	eps  []EpsilonCounter
-}
-
-// NewDRRIP builds a DRRIP policy. Options used: Seed, SD, PSEL width via
-// opt (zero values select the paper's 64 sets and 10 bits).
-func NewDRRIP(g cache.Geometry, opt Options) *DRRIP {
-	sd := effectiveSD(g.Sets, 1, opt.SD)
-	eps := make([]EpsilonCounter, g.Cores)
-	for i := range eps {
-		eps[i] = NewEpsilonCounter(BRRIPEpsilonPeriod)
-	}
-	return &DRRIP{
-		Engine: cache.NewEngine(g),
-		duel:   newDuelMap(g.Sets, 1, sd, opt.Seed),
-		sel:    newPSEL(PSELBits),
-		eps:    eps,
-	}
-}
-
-// Name implements cache.ReplacementPolicy.
-func (p *DRRIP) Name() string { return "drrip" }
-
-// OnMiss implements cache.MissObserver: demand misses in leader sets
-// update the dueling selector.
-func (p *DRRIP) OnMiss(a *cache.Access, set int) {
-	switch p.duel.role(set) {
-	case leaderSRRIP:
-		p.sel.srripMiss()
-	case leaderBRRIP:
-		p.sel.brripMiss()
-	}
-}
-
-// OnFill applies the set's policy: leader sets use their dedicated policy,
-// followers use the PSEL winner.
-func (p *DRRIP) OnFill(a *cache.Access, set, way int) {
-	if !a.Demand {
-		p.SetRRPV(set, way, NonDemandRRPV(a))
-		return
-	}
-	useBRRIP := false
-	switch p.duel.role(set) {
-	case leaderSRRIP:
-		useBRRIP = false
-	case leaderBRRIP:
-		useBRRIP = true
-	default:
-		useBRRIP = p.sel.preferBRRIP()
-	}
-	p.SetRRPV(set, way, p.insertValue(a.Core, useBRRIP))
-}
-
-func (p *DRRIP) insertValue(core int, useBRRIP bool) uint8 {
-	if !useBRRIP {
-		return MaxRRPV - 1
-	}
-	if p.eps[core].Fire() {
-		return MaxRRPV - 1
-	}
-	return MaxRRPV
-}
-
-// PreferBRRIP exposes the selector state for tests.
-func (p *DRRIP) PreferBRRIP() bool { return p.sel.preferBRRIP() }

@@ -162,23 +162,23 @@ func thrashCache(c *cache.Cache, core int, blocks uint64, rounds int) (hits, acc
 
 func TestDRRIPLearnsBRRIPUnderThrash(t *testing.T) {
 	g := geom(64, 4, 1)
-	p := NewDRRIP(g, Options{Seed: 3, SD: 8})
+	p := newTADRRIP(g, Options{Seed: 3}, true, 8, false)
 	c := newCache(t, g, p)
 	// Working set = 4x cache capacity, cyclic: SRRIP leader sets miss every
 	// time, BRRIP leaders keep a trickle, so PSEL must drift toward BRRIP.
 	thrashCache(c, 0, uint64(4*g.Blocks()), 40)
-	if !p.PreferBRRIP() {
+	if !p.PreferBRRIP(0) {
 		t.Fatal("DRRIP failed to learn BRRIP on a thrashing working set")
 	}
 }
 
 func TestDRRIPStaysSRRIPOnFriendlyWorkload(t *testing.T) {
 	g := geom(64, 4, 1)
-	p := NewDRRIP(g, Options{Seed: 3, SD: 8})
+	p := newTADRRIP(g, Options{Seed: 3}, true, 8, false)
 	c := newCache(t, g, p)
 	// Working set = half the cache: everyone hits after warm-up; PSEL stays low.
 	thrashCache(c, 0, uint64(g.Blocks()/2), 50)
-	if p.PreferBRRIP() {
+	if p.PreferBRRIP(0) {
 		t.Fatal("DRRIP switched to BRRIP on a cache-friendly workload")
 	}
 }
@@ -188,7 +188,7 @@ func TestTADRRIPPerThreadDecisions(t *testing.T) {
 	// BRRIP for thread 0 only. This is the 2-core regime where the paper
 	// concedes hit/miss learning still works.
 	g := geom(256, 4, 2)
-	p := NewTADRRIP(g, Options{Seed: 11, SD: 16})
+	p := NewTADRRIP(g, Options{Seed: 11}, 16, false)
 	c := newCache(t, g, p)
 	friendly := uint64(g.Blocks() / 8)
 	thrash := uint64(4 * g.Blocks())
@@ -208,10 +208,50 @@ func TestTADRRIPPerThreadDecisions(t *testing.T) {
 	}
 }
 
+// TestDRRIPSharesOneSelector runs TestTADRRIPPerThreadDecisions' workload
+// under DRRIP: one selector, trained by both cores' leader-set misses,
+// decides for both, so the friendly core follows the thrashing one to
+// BRRIP where TA-DRRIP keeps it on SRRIP.
+func TestDRRIPSharesOneSelector(t *testing.T) {
+	g := geom(256, 4, 2)
+	p := newTADRRIP(g, Options{Seed: 11}, true, 16, false)
+	c := newCache(t, g, p)
+	friendly := uint64(g.Blocks() / 8)
+	thrash := uint64(4 * g.Blocks())
+	for round := 0; round < 60; round++ {
+		for b := uint64(0); b < thrash; b++ {
+			c.Access(demand(1<<30|b, 0, 0xA))
+			if b < friendly {
+				c.Access(demand(2<<30|b, 1, 0xB))
+			}
+		}
+	}
+	if !p.PreferBRRIP(0) || !p.PreferBRRIP(1) {
+		t.Fatalf("DRRIP prefers BRRIP for core 0: %v, core 1: %v; want both", p.PreferBRRIP(0), p.PreferBRRIP(1))
+	}
+	// The friendly core's fills into follower sets go in distant, but for
+	// BRRIP's 1 in 32.
+	distant, total := 0, 0
+	for b := uint64(0); b < 1024; b++ {
+		block := 3<<30 | b
+		c.Access(demand(block, 1, 0xB))
+		set := c.SetOf(block)
+		if w, ok := c.Lookup(block); ok && p.duel.role(set) == follower {
+			total++
+			if p.RRPVAt(set, w) == MaxRRPV {
+				distant++
+			}
+		}
+	}
+	if total == 0 || float64(distant)/float64(total) < 0.9 {
+		t.Fatalf("core 1 inserted %d of %d follower fills distant, want ~31/32", distant, total)
+	}
+}
+
 func TestTADRRIPForcedBRRIP(t *testing.T) {
 	g := geom(64, 4, 2)
 	forced := []bool{true, false}
-	p := NewTADRRIP(g, Options{Seed: 1, ForcedBRRIP: forced})
+	p := NewTADRRIP(g, Options{Seed: 1, ForcedBRRIP: forced}, 0, false)
 	c := newCache(t, g, p)
 	if p.Name() != "tadrrip-forced" {
 		t.Fatalf("name = %q, want tadrrip-forced", p.Name())
@@ -240,7 +280,7 @@ func TestTADRRIPForcedBRRIP(t *testing.T) {
 
 func TestTADRRIPBypassVariant(t *testing.T) {
 	g := geom(64, 4, 1)
-	p := NewTADRRIP(g, Options{Seed: 1, ForcedBRRIP: []bool{true}, BypassDistant: true})
+	p := NewTADRRIP(g, Options{Seed: 1, ForcedBRRIP: []bool{true}}, 0, true)
 	c := newCache(t, g, p)
 	for b := uint64(0); b < 4096; b++ {
 		c.Access(demand(b, 0, 0))

@@ -11,7 +11,7 @@ import "repro/internal/cache"
 //   - On a fill, a block found in the filter was evicted prematurely and is
 //     inserted with near-immediate reuse (RRPV MaxRRPV-1, i.e. 2); a block
 //     not in the filter is inserted distant (MaxRRPV, i.e. 3) — or bypassed
-//     in the BypassDistant variant of Figure 6.
+//     in the "eaf-bp" variant of Figure 6.
 //   - When the number of recorded evictions reaches the capacity, the filter
 //     is cleared wholesale (Bloom filters do not support removal).
 //
@@ -38,7 +38,7 @@ const eafBitsPerAddress = 8
 // eafHashes is the number of Bloom hash functions.
 const eafHashes = 4
 
-// NewEAF builds an EAF policy. Options used: BypassDistant.
+// NewEAF builds an EAF policy. It uses no Options.
 func NewEAF(g cache.Geometry, opt Options) *EAF {
 	capacity := uint64(g.Blocks())
 	nbits := nextPow2(capacity * eafBitsPerAddress)
@@ -47,7 +47,6 @@ func NewEAF(g cache.Geometry, opt Options) *EAF {
 		bits:     make([]uint64, nbits/64),
 		mask:     nbits - 1,
 		capacity: capacity,
-		bypass:   opt.BypassDistant,
 	}
 }
 

@@ -29,16 +29,10 @@ func (p *BRRIP) Hot() cache.HotProfile {
 	return cache.HotProfile{Engine: &p.Engine, PlainHit: true, PlainVictim: true}
 }
 
-// Hot implements cache.HotPather. DRRIP's selector trains in OnMiss (a
-// cache.MissObserver, called either way); hit and fill decision are the
-// engine's.
-func (p *DRRIP) Hot() cache.HotProfile {
-	return cache.HotProfile{Engine: &p.Engine, PlainHit: true, PlainVictim: true}
-}
-
-// Hot implements cache.HotPather. TA-DRRIP keeps the engine's hit; the
-// bypass variant's FillDecision can decline to allocate, so PlainVictim
-// holds only for the non-bypass variants.
+// Hot implements cache.HotPather. TA-DRRIP and DRRIP keep the engine's
+// hit, and their selectors train in OnMiss (a cache.MissObserver, called
+// either way); the bypass variant's FillDecision can decline to allocate,
+// so PlainVictim holds only for the other variants.
 func (p *TADRRIP) Hot() cache.HotProfile {
 	return cache.HotProfile{Engine: &p.Engine, PlainHit: true, PlainVictim: !p.bypass}
 }

@@ -5,7 +5,7 @@
 //   - SRRIP / BRRIP — static and bimodal re-reference interval prediction
 //     (Jaleel et al., ISCA 2010), the building blocks of everything else.
 //   - DRRIP — SRRIP/BRRIP set dueling with a single 10-bit PSEL (used at the
-//     private L2 per Table 3).
+//     private L2 per Table 3), built as TA-DRRIP's one-thread case.
 //   - TA-DRRIP — thread-aware set dueling, the paper's LLC baseline, with the
 //     SD=64/SD=128 variants and the "forced BRRIP for thrashing applications"
 //     oracle of Figure 1.
@@ -17,6 +17,8 @@
 //
 // Each policy also has a "bypass" variant (Figure 6): fills that the policy
 // would insert with the distant value (RRPV 3) are not allocated at all.
+// A variant is chosen by its registry name ("tadrrip-sd128", "tadrrip-bp",
+// "ship-bp", "eaf-bp"), not by an Options field.
 //
 // The ADAPT policy itself lives in internal/core (it is the paper's
 // contribution, not a baseline) and registers itself in this package's
@@ -62,16 +64,9 @@ type Options struct {
 	// Seed drives leader-set and training-set sampling. The same seed
 	// always yields the same monitor sets.
 	Seed uint64
-	// SD is the number of set-dueling leader sets per policy (per thread
-	// for TA-DRRIP). 0 means DefaultSD. The effective value is scaled down
-	// automatically if the cache is too small to dedicate that many sets.
-	SD int
 	// ForcedBRRIP marks cores whose fills are forced to the BRRIP insertion
 	// policy regardless of dueling (the Figure 1 "TA-DRRIP(forced)" oracle).
 	ForcedBRRIP []bool
-	// BypassDistant converts distant-value (RRPV 3) insertions into
-	// bypasses — the Figure 6 "Bypass" bars.
-	BypassDistant bool
 
 	// ADAPT-specific knobs, interpreted by internal/core. Zero values mean
 	// the paper's defaults (40 monitored sets, interval of 4x the LLC block
@@ -152,28 +147,28 @@ func init() {
 		return NewDRRIP(g, opt)
 	})
 	Register("tadrrip", func(g cache.Geometry, opt Options) cache.ReplacementPolicy {
-		return NewTADRRIP(g, opt)
+		return NewTADRRIP(g, opt, 0, false)
 	})
 	Register("tadrrip-sd128", func(g cache.Geometry, opt Options) cache.ReplacementPolicy {
-		opt.SD = 128
-		return NewTADRRIP(g, opt)
+		return NewTADRRIP(g, opt, 128, false)
 	})
 	Register("tadrrip-bp", func(g cache.Geometry, opt Options) cache.ReplacementPolicy {
-		opt.BypassDistant = true
-		return NewTADRRIP(g, opt)
+		return NewTADRRIP(g, opt, 0, true)
 	})
 	Register("ship", func(g cache.Geometry, opt Options) cache.ReplacementPolicy {
 		return NewSHiP(g, opt)
 	})
 	Register("ship-bp", func(g cache.Geometry, opt Options) cache.ReplacementPolicy {
-		opt.BypassDistant = true
-		return NewSHiP(g, opt)
+		p := NewSHiP(g, opt)
+		p.bypass = true
+		return p
 	})
 	Register("eaf", func(g cache.Geometry, opt Options) cache.ReplacementPolicy {
 		return NewEAF(g, opt)
 	})
 	Register("eaf-bp", func(g cache.Geometry, opt Options) cache.ReplacementPolicy {
-		opt.BypassDistant = true
-		return NewEAF(g, opt)
+		p := NewEAF(g, opt)
+		p.bypass = true
+		return p
 	})
 }

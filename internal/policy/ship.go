@@ -22,7 +22,7 @@ const (
 // signature and an outcome bit: a demand re-reference sets the bit and
 // increments the SHCT entry; eviction without re-reference decrements it.
 // Fills whose signature has a zero counter are predicted distant (RRPV
-// MaxRRPV, or bypassed in the BypassDistant variant); everything else is
+// MaxRRPV, or bypassed in the "ship-bp" variant); everything else is
 // inserted like SRRIP (MaxRRPV-1).
 //
 // As the paper's §2 observes, at high core counts SHiP's hit/miss-driven
@@ -55,8 +55,8 @@ type shipTrain struct {
 	reused bool   // demand re-referenced since fill
 }
 
-// NewSHiP builds a SHiP policy. Options used: Seed (training-set sampling)
-// and BypassDistant.
+// NewSHiP builds a SHiP policy. Options used: Seed (training-set
+// sampling).
 func NewSHiP(g cache.Geometry, opt Options) *SHiP {
 	shct := make([]uint8, g.Cores<<SignatureBits)
 	// SHiP initialises counters to a weakly-reusable state so that cold
@@ -88,7 +88,6 @@ func NewSHiP(g cache.Geometry, opt Options) *SHiP {
 		trainIdx: trainIdx,
 		train:    make([]shipTrain, n*g.Ways),
 		ways:     g.Ways,
-		bypass:   opt.BypassDistant,
 	}
 }
 

@@ -64,7 +64,8 @@ func TestSHiPLearnsReusedPC(t *testing.T) {
 func TestSHiPBypassVariantBypasses(t *testing.T) {
 	// 256 sets: 32 sampled for training, 224 followers where bypass applies.
 	g := geom(256, 4, 1)
-	p := NewSHiP(g, Options{Seed: 2, BypassDistant: true})
+	p := NewSHiP(g, Options{Seed: 2})
+	p.bypass = true
 	c := newCache(t, g, p)
 	const deadPC = 0x9999
 	for b := uint64(0); b < 32768; b++ {
@@ -167,7 +168,8 @@ func TestEAFClearsWhenFull(t *testing.T) {
 
 func TestEAFBypassVariant(t *testing.T) {
 	g := geom(16, 2, 1)
-	p := NewEAF(g, Options{BypassDistant: true})
+	p := NewEAF(g, Options{})
+	p.bypass = true
 	c := newCache(t, g, p)
 	for b := uint64(0); b < 512; b++ {
 		c.Access(demand(b, 0, 0))

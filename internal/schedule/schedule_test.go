@@ -61,7 +61,7 @@ func TestJobKeyGolden(t *testing.T) {
 		"lbm", "STRM", "libq", "milc", "calc", "mcf", "art", "gcc",
 	}
 	j := testJob(42, names...)
-	const want = "b4dc5e7f2788fb08a6889d2ffcce127736be800f92e803389674c5762fc79666"
+	const want = "47754af12ccc7a29b365b1fb5133e9e41845ce710765281bc45b8eb42a9d8ee9"
 	if got := j.Key(); got != want {
 		t.Fatalf("Job.Key drifted:\n  got  %s\n  want %s", got, want)
 	}

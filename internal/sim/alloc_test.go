@@ -64,8 +64,8 @@ func TestConstructionAllocs(t *testing.T) {
 		names []string
 		want  float64
 	}{
-		{"balanced16/x64", quickConfig(len(balanced16)), balanced16, 838},
-		{"mixA/unscaled", DefaultConfig(4), []string{"calc", "mcf", "libq", "lbm"}, 266},
+		{"balanced16/x64", quickConfig(len(balanced16)), balanced16, 837},
+		{"mixA/unscaled", DefaultConfig(4), []string{"calc", "mcf", "libq", "lbm"}, 265},
 	} {
 		cfg := tc.cfg
 		cfg.LLCPolicy = "tadrrip"

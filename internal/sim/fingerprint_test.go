@@ -22,7 +22,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"llc-policy":   func(c *Config) { c.LLCPolicy = "lru" },
 		"seed":         func(c *Config) { c.Seed++ },
 		"policy-seed":  func(c *Config) { c.PolicyOpt.Seed++ },
-		"policy-sd":    func(c *Config) { c.PolicyOpt.SD = 128 },
 		"forced-brrip": func(c *Config) { c.PolicyOpt.ForcedBRRIP = []bool{true, false, false, false} },
 		"adapt-ranges": func(c *Config) { c.PolicyOpt.AdaptRanges.HPMax = 5 },
 		"mem-banks":    func(c *Config) { c.Mem.Banks = 16 },
@@ -51,7 +50,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 // field (tagged `fingerprint:"-"`) must leave this digest — and with it
 // every stored result — valid.
 func TestConfigFingerprintGolden(t *testing.T) {
-	const want = "b65d5fe3685f257dced1964f34c23354bc64062e19a272ed06b7113fa1f821fd"
+	const want = "5a092aec3cfcd6f6ccac983cad444d01ebcd92e7d5e0580ae014210e0b0cccda"
 	if got := DefaultConfig(16).Fingerprint(); got != want {
 		t.Fatalf("DefaultConfig(16) fingerprint drifted:\n  got  %s\n  want %s", got, want)
 	}

@@ -24,8 +24,11 @@ go vet ./... || fail=1
 # --- 2. undocumented exported identifiers ---------------------------------
 # Every exported top-level func/method/type/const/var (and exported members
 # of const/var groups) must carry a doc comment. go vet does not enforce
-# comment conventions, so this is the repo's own gate.
+# comment conventions, so this is the repo's own gate. Both file lists skip
+# paths that are listed but gone from the working tree (a tracked file
+# deleted and not yet staged): the gate checks the tree as it stands.
 audit=$(git ls-files --cached --others --exclude-standard '*.go' | grep -v _test.go | while read -r f; do
+	[ -e "$f" ] || continue
 	awk -v FILE="$f" '
 		/^(func|type|const|var) [A-Z]/ || /^func \([A-Za-z0-9_]+ \*?[A-Z][A-Za-z0-9_]*\) [A-Z]/ {
 			if (prev !~ /^\/\//) print FILE ":" FNR ": " $0
@@ -49,6 +52,7 @@ fi
 # Skipped: absolute URLs (scheme:), pure anchors (#...), and ../ links that
 # deliberately point outside the repo (the README's CI-badge idiom).
 links=$(git ls-files --cached --others --exclude-standard '*.md' | while read -r f; do
+	[ -e "$f" ] || continue
 	awk -v FILE="$f" '
 	{
 		line = $0
