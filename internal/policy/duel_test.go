@@ -183,23 +183,27 @@ func TestDRRIPStaysSRRIPOnFriendlyWorkload(t *testing.T) {
 	}
 }
 
+// thrashAndFit runs 60 rounds in which core 0 sweeps a cyclic working set
+// of four times the cache and core 1 one of an eighth of it.
+func thrashAndFit(c *cache.Cache) {
+	blocks := uint64(c.Config().Geometry.Blocks())
+	for round := 0; round < 60; round++ {
+		for b := uint64(0); b < 4*blocks; b++ {
+			c.Access(demand(1<<30|b, 0, 0xA))
+			if b < blocks/8 {
+				c.Access(demand(2<<30|b, 1, 0xB))
+			}
+		}
+	}
+}
+
 func TestTADRRIPPerThreadDecisions(t *testing.T) {
 	// Thread 0 thrashes, thread 1 is cache friendly; TA-DRRIP must learn
 	// BRRIP for thread 0 only. This is the 2-core regime where the paper
 	// concedes hit/miss learning still works.
 	g := geom(256, 4, 2)
 	p := NewTADRRIP(g, Options{Seed: 11}, 16, false)
-	c := newCache(t, g, p)
-	friendly := uint64(g.Blocks() / 8)
-	thrash := uint64(4 * g.Blocks())
-	for round := 0; round < 60; round++ {
-		for b := uint64(0); b < thrash; b++ {
-			c.Access(demand(1<<30|b, 0, 0xA))
-			if b < friendly {
-				c.Access(demand(2<<30|b, 1, 0xB))
-			}
-		}
-	}
+	thrashAndFit(newCache(t, g, p))
 	if !p.PreferBRRIP(0) {
 		t.Fatal("TA-DRRIP did not learn BRRIP for the thrashing thread")
 	}
@@ -216,16 +220,7 @@ func TestDRRIPSharesOneSelector(t *testing.T) {
 	g := geom(256, 4, 2)
 	p := newTADRRIP(g, Options{Seed: 11}, true, 16, false)
 	c := newCache(t, g, p)
-	friendly := uint64(g.Blocks() / 8)
-	thrash := uint64(4 * g.Blocks())
-	for round := 0; round < 60; round++ {
-		for b := uint64(0); b < thrash; b++ {
-			c.Access(demand(1<<30|b, 0, 0xA))
-			if b < friendly {
-				c.Access(demand(2<<30|b, 1, 0xB))
-			}
-		}
-	}
+	thrashAndFit(c)
 	if !p.PreferBRRIP(0) || !p.PreferBRRIP(1) {
 		t.Fatalf("DRRIP prefers BRRIP for core 0: %v, core 1: %v; want both", p.PreferBRRIP(0), p.PreferBRRIP(1))
 	}
